@@ -71,7 +71,7 @@ fn bench_campaign_stream(c: &mut Criterion) {
             let mut outcomes = 0usize;
             for case in cases() {
                 let mut process = setup();
-                let injector = Injector::new(case.plan.clone());
+                let injector = Injector::new(&case.plan);
                 process.preload(injector.synthesize_interceptor());
                 let status = workload(&mut process);
                 let log = injector.log();
@@ -95,7 +95,7 @@ fn bench_campaign_stream(c: &mut Criterion) {
             let mut outcomes = 0usize;
             for case in cases() {
                 let mut process = arena.checkout();
-                let injector = Injector::new(case.plan.clone());
+                let injector = Injector::new(&case.plan);
                 process.preload(injector.synthesize_interceptor());
                 let status = workload(&mut process);
                 let log = injector.log();

@@ -49,7 +49,7 @@ fn bench_case_setup(c: &mut Criterion) {
     group.bench_function("arena_cycle_preload", |b| {
         let arena = arena();
         arena.prewarm(1);
-        let interceptor = lfi_controller::Injector::new(lfi_scenario::Plan::new().entry(lfi_scenario::PlanEntry {
+        let interceptor = lfi_controller::Injector::new(&lfi_scenario::Plan::new().entry(lfi_scenario::PlanEntry {
             function: "read".into(),
             trigger: lfi_scenario::Trigger::on_call(1),
             action: lfi_scenario::FaultAction::return_value(-1).with_errno(9),

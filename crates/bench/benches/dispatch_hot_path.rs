@@ -25,7 +25,7 @@ fn libc() -> NativeLibrary {
 fn intercepted_process(plan: Plan) -> (Process, Injector) {
     let mut process = Process::new();
     process.load(libc());
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
     process.preload(injector.synthesize_interceptor());
     (process, injector)
 }

@@ -63,7 +63,7 @@ fn bench_indirect_dispatch(c: &mut Criterion) {
     let build_process = || {
         let mut process = Process::new();
         process.load(NativeLibrary::builder("libc.so.6").function("read", |ctx| ctx.arg(2)).build());
-        let injector = Injector::new(plan.clone());
+        let injector = Injector::new(&plan);
         process.preload(injector.synthesize_interceptor());
         process
     };

@@ -35,7 +35,7 @@ fn bench_table3(c: &mut Criterion) {
                     if triggers > 0 {
                         let top = most_called_functions(triggers.min(300));
                         let plan = TriggerLoad::new(top, triggers, 2009).generate(&profiles);
-                        let injector = Injector::new(plan);
+                        let injector = Injector::new(&plan);
                         process.preload(injector.synthesize_interceptor());
                     }
                     let mut server = ApacheServer::start(&mut process);

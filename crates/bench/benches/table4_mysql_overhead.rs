@@ -32,7 +32,7 @@ fn bench_table4(c: &mut Criterion) {
                     let mut process = base_process(&world, false);
                     if triggers > 0 {
                         let plan = TriggerLoad::new(top.iter().copied(), triggers, 2009).generate(&profiles);
-                        let injector = Injector::new(plan);
+                        let injector = Injector::new(&plan);
                         process.preload(injector.synthesize_interceptor());
                     }
                     let mut server = MysqlServer::start(&mut process);

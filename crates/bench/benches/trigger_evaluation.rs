@@ -17,7 +17,7 @@ fn process_with_triggers(triggers: usize) -> Process {
         // of them; call-count triggers placed beyond the benchmark's call
         // count never fire, isolating pure evaluation cost.
         let plan = TriggerLoad::new(["read"], triggers, 7).generate(&[FaultProfile::new("libc.so.6")]);
-        let injector = Injector::new(plan);
+        let injector = Injector::new(&plan);
         process.preload(injector.synthesize_interceptor());
     }
     process

@@ -46,9 +46,6 @@ pub struct Injector {
 }
 
 struct InjectorShared {
-    /// The authored plan, kept for [`Injector::intercepted_functions`] and
-    /// report rendering; the hot path runs on the compiled slots below.
-    plan: Plan,
     seed: u64,
     /// One slot per intercepted function, in first-appearance order; stubs
     /// index this directly (the slot index is baked into each stub at
@@ -146,8 +143,8 @@ impl Injector {
     /// Creates an injection engine for a fault scenario, compiling the plan
     /// to symbol-keyed per-function slots (the resolve-once half of the
     /// fast path).  The random seed is taken from the plan (or 0 when
-    /// absent) so runs are reproducible.
-    pub fn new(plan: Plan) -> Self {
+    /// absent) so runs are reproducible.  See [`Injector::with_budget`].
+    pub fn new(plan: &Plan) -> Self {
         Self::with_budget(plan, None)
     }
 
@@ -157,7 +154,11 @@ impl Injector {
     /// The campaign driver hands the *same* pool to every case of a budgeted
     /// campaign, which is what makes the budget a hard global bound even
     /// under `parallelism(n)`.
-    pub fn with_budget(plan: Plan, budget: Option<Arc<AtomicUsize>>) -> Self {
+    ///
+    /// The plan is borrowed, not kept: the injector holds only its compiled
+    /// slots ([`Plan::compile`], linear in the plan's size), so building one
+    /// per case copies no authored plan.
+    pub fn with_budget(plan: &Plan, budget: Option<Arc<AtomicUsize>>) -> Self {
         let seed = plan.seed.unwrap_or(0);
         let compiled = plan.compile();
         let slots = compiled
@@ -173,7 +174,7 @@ impl Injector {
                 }),
             })
             .collect();
-        Self { shared: Arc::new(InjectorShared { plan, seed, slots, log: Mutex::new(Vec::new()), budget }) }
+        Self { shared: Arc::new(InjectorShared { seed, slots, log: Mutex::new(Vec::new()), budget }) }
     }
 
     /// Takes one token from the shared injection budget; `true` when no
@@ -224,9 +225,14 @@ impl Injector {
         findings
     }
 
-    /// The functions this injector will intercept.
+    /// The functions this injector will intercept, sorted by name — the
+    /// same list as [`Plan::intercepted_functions`] on the plan it was
+    /// built from.
     pub fn intercepted_functions(&self) -> Vec<String> {
-        self.shared.plan.intercepted_functions().into_iter().map(str::to_owned).collect()
+        let mut names: Vec<String> =
+            self.shared.slots.iter().map(|slot| slot.function.symbol.as_str().to_owned()).collect();
+        names.sort_unstable();
+        names
     }
 
     /// Synthesizes the interceptor library: one stub per function named in the
@@ -480,7 +486,7 @@ impl std::fmt::Debug for Injector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Injector")
             .field("functions", &self.shared.slots.len())
-            .field("entries", &self.shared.plan.len())
+            .field("entries", &self.shared.slots.iter().map(|slot| slot.function.entries.len()).sum::<usize>())
             .field("seed", &self.shared.seed)
             .finish()
     }
@@ -541,7 +547,7 @@ mod tests {
     fn process_with(plan: Plan) -> (Process, Injector) {
         let mut process = Process::new();
         process.load(libc());
-        let injector = Injector::new(plan);
+        let injector = Injector::new(&plan);
         process.preload(injector.synthesize_interceptor());
         (process, injector)
     }
@@ -634,7 +640,7 @@ mod tests {
         });
         let mut process = Process::new();
         process.load(flaky);
-        let injector = Injector::new(plan);
+        let injector = Injector::new(&plan);
         process.preload(injector.synthesize_interceptor());
 
         for fd in 0..20 {
@@ -826,8 +832,8 @@ mod tests {
             trigger: Trigger::on_call(1),
             action: FaultAction::return_value(-2),
         });
-        let libc_injector = Injector::new(libc_plan);
-        let apr_injector = Injector::new(apr_plan);
+        let libc_injector = Injector::new(&libc_plan);
+        let apr_injector = Injector::new(&apr_plan);
         process.preload(libc_injector.synthesize_interceptor_named("lfi_libc.so"));
         process.preload(apr_injector.synthesize_interceptor_named("lfi_apr.so"));
         assert_eq!(process.call("read", &[3, 0, 8]).unwrap(), -1);
@@ -861,7 +867,7 @@ mod tests {
             action: FaultAction::return_value(-1),
         });
         let mut process = Process::new();
-        let injector = Injector::new(plan);
+        let injector = Injector::new(&plan);
         process.preload(injector.synthesize_interceptor());
         assert_eq!(process.call("only_in_profile", &[]).unwrap(), 0);
         assert_eq!(process.call("only_in_profile", &[]).unwrap(), -1);
@@ -939,8 +945,8 @@ mod tests {
                 action: FaultAction::return_value(-1).with_errno(9),
             })
         };
-        let read_injector = Injector::with_budget(plan_for("read"), Some(Arc::clone(&budget)));
-        let write_injector = Injector::with_budget(plan_for("write"), Some(Arc::clone(&budget)));
+        let read_injector = Injector::with_budget(&plan_for("read"), Some(Arc::clone(&budget)));
+        let write_injector = Injector::with_budget(&plan_for("write"), Some(Arc::clone(&budget)));
         let mut process = Process::new();
         process.load(libc());
         process.preload(read_injector.synthesize_interceptor_named("lfi_read.so"));
@@ -975,7 +981,7 @@ mod tests {
                 trigger: Trigger::on_call(300),
                 action: FaultAction::return_value(-2),
             });
-        let injector = Injector::new(plan);
+        let injector = Injector::new(&plan);
         let interceptor = injector.synthesize_interceptor();
         let mut template = Process::new();
         template.load(libc());

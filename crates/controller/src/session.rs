@@ -552,7 +552,7 @@ fn execute_case(
     case: &TestCase,
 ) -> bool {
     let mut process = workload.setup(case);
-    let injector = Injector::with_budget(case.plan.clone(), shared.budget.clone());
+    let injector = Injector::with_budget(&case.plan, shared.budget.clone());
     process.preload(injector.synthesize_interceptor());
     if shared.capture_calls {
         process.set_call_log_enabled(true);

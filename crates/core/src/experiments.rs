@@ -656,7 +656,7 @@ pub fn table3_apache_overhead(requests: u64, seed: u64) -> OverheadResult {
                 if triggers > 0 {
                     let top = most_called_functions(triggers.min(300));
                     let plan = TriggerLoad::new(top, triggers, seed).generate(&profiles);
-                    let injector = Injector::new(plan);
+                    let injector = Injector::new(&plan);
                     process.preload(injector.synthesize_interceptor());
                 }
                 let mut server = ApacheServer::start(&mut process);
@@ -706,7 +706,7 @@ pub fn table4_mysql_overhead(transactions: u64, seed: u64) -> OverheadResult {
                 let mut process = base_process(&world, false);
                 if triggers > 0 {
                     let plan = TriggerLoad::new(top.iter().copied(), triggers, seed).generate(&profiles);
-                    let injector = Injector::new(plan);
+                    let injector = Injector::new(&plan);
                     process.preload(injector.synthesize_interceptor());
                 }
                 let mut server = MysqlServer::start(&mut process);
@@ -953,7 +953,7 @@ pub fn mysql_coverage(cases: usize, seed: u64) -> MysqlCoverageResult {
     let plan = Random::new(0.05, seed).expect("0.05 is a valid probability").generate(&[libc_profile]);
     let world = new_world();
     let mut process = base_process(&world, false);
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
     process.preload(injector.synthesize_interceptor());
     let mut server = MysqlServer::start(&mut process);
     let injected = server.run_test_suite(&mut process, cases);

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use lfi_objfile::SharedObject;
 
@@ -25,14 +25,25 @@ const SHARDS: usize = 8;
 /// Because the key is a content hash there is no invalidation protocol —
 /// re-registering a *modified* library simply misses (new fingerprint) and the
 /// stale entry becomes unreachable garbage until [`DisasmCache::clear`].
-/// Lookups are lock-sharded; a concurrent miss on the same object may
-/// disassemble twice, but both threads end up sharing the first inserted
-/// entry's key, which is harmless because the results are identical.
+///
+/// Lookups are lock-sharded, and a miss is single-flight: each key owns an
+/// in-flight slot whose fill lock the disassembling thread holds, so a
+/// concurrent miss on the same object waits for that one run and then hits.
+/// "At most once" therefore holds by construction, not by timing.  A failed
+/// disassembly leaves the slot empty, so the next request retries it.
 #[derive(Debug, Default)]
 pub struct DisasmCache {
-    shards: [RwLock<HashMap<u64, Arc<ObjectDisassembly>>>; SHARDS],
+    shards: [RwLock<HashMap<u64, Arc<Slot>>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// One key's entry: the disassembly once some thread has produced it, and
+/// the lock held while producing it.
+#[derive(Debug, Default)]
+struct Slot {
+    value: OnceLock<Arc<ObjectDisassembly>>,
+    fill: Mutex<()>,
 }
 
 impl DisasmCache {
@@ -41,14 +52,23 @@ impl DisasmCache {
         Self::default()
     }
 
-    fn shard(&self, fingerprint: u64) -> &RwLock<HashMap<u64, Arc<ObjectDisassembly>>> {
+    fn shard(&self, fingerprint: u64) -> &RwLock<HashMap<u64, Arc<Slot>>> {
         &self.shards[(fingerprint as usize) % SHARDS]
+    }
+
+    /// The slot for `fingerprint`, creating an empty one on first sight.
+    fn slot(&self, fingerprint: u64) -> Arc<Slot> {
+        let shard = self.shard(fingerprint);
+        if let Some(slot) = shard.read().unwrap_or_else(PoisonError::into_inner).get(&fingerprint) {
+            return Arc::clone(slot);
+        }
+        Arc::clone(shard.write().unwrap_or_else(PoisonError::into_inner).entry(fingerprint).or_default())
     }
 
     /// Returns the cached disassembly for `fingerprint`, if present.
     pub fn get(&self, fingerprint: u64) -> Option<Arc<ObjectDisassembly>> {
-        let shard = self.shard(fingerprint).read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        shard.get(&fingerprint).cloned()
+        let shard = self.shard(fingerprint).read().unwrap_or_else(PoisonError::into_inner);
+        shard.get(&fingerprint).and_then(|slot| slot.value.get()).cloned()
     }
 
     /// Disassembles `object`, reusing the cached result when its fingerprint
@@ -65,6 +85,10 @@ impl DisasmCache {
     /// Like [`DisasmCache::disassemble`] for callers that already know the
     /// object's fingerprint (the profiler computes it once at registration).
     ///
+    /// Threads that miss on the same fingerprint together run the
+    /// disassembler once: the first takes the key's fill lock, the others
+    /// wait on it and return the shared result as a hit.
+    ///
     /// # Errors
     ///
     /// Propagates [`DisasmError`]; failures are not cached.
@@ -73,23 +97,34 @@ impl DisasmCache {
         fingerprint: u64,
         object: &SharedObject,
     ) -> Result<(Arc<ObjectDisassembly>, bool), DisasmError> {
-        if let Some(existing) = self.get(fingerprint) {
+        let slot = self.slot(fingerprint);
+        let hit = |value: &Arc<ObjectDisassembly>| {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((existing, true));
+            Ok((Arc::clone(value), true))
+        };
+        if let Some(value) = slot.value.get() {
+            return hit(value);
+        }
+        let _filling = slot.fill.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(value) = slot.value.get() {
+            return hit(value);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let disassembly = Arc::new(Disassembler::new().disassemble_object(object)?);
-        let mut shard = self.shard(fingerprint).write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Keep the first entry if another thread raced us here; the two
-        // disassemblies are identical, sharing one maximizes reuse.
-        Ok((Arc::clone(shard.entry(fingerprint).or_insert(disassembly)), false))
+        Ok((Arc::clone(slot.value.get_or_init(|| disassembly)), false))
     }
 
     /// Number of cached disassemblies.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().unwrap_or_else(std::sync::PoisonError::into_inner).len())
+            .map(|s| {
+                s.read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .values()
+                    .filter(|slot| slot.value.get().is_some())
+                    .count()
+            })
             .sum()
     }
 
@@ -111,7 +146,7 @@ impl DisasmCache {
     /// Drops every cached disassembly and resets the hit/miss counters.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+            shard.write().unwrap_or_else(PoisonError::into_inner).clear();
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -154,16 +189,48 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_disassembly_converges_on_one_entry() {
+    fn concurrent_misses_disassemble_once() {
         let cache = DisasmCache::new();
         let obj = object("libshared.so");
+        let start = std::sync::Barrier::new(4);
         let entries: Vec<Arc<ObjectDisassembly>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4).map(|_| scope.spawn(|| cache.disassemble(&obj).unwrap().0)).collect();
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.disassemble(&obj).unwrap().0
+                    })
+                })
+                .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for entry in &entries {
             assert!(Arc::ptr_eq(entry, &entries[0]));
         }
         assert_eq!(cache.len(), 1);
+        assert_eq!((cache.hits(), cache.misses()), (3, 1));
+    }
+
+    #[test]
+    fn failures_are_not_cached() {
+        // Serialize a one-instruction object and overwrite its `ret` opcode
+        // with a byte no instruction encodes: the object parses, but its
+        // code does not decode.
+        let good = object("libbroken.so");
+        let mut bytes = good.to_bytes();
+        let code = &good.code_for_name("f").unwrap().code;
+        let mut framed = (code.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(code);
+        let at = bytes.windows(framed.len()).position(|window| window == framed).unwrap() + 4;
+        bytes[at..at + code.len()].fill(0xff);
+        let broken = SharedObject::from_bytes(&bytes).unwrap();
+
+        let cache = DisasmCache::new();
+        for attempt in 1..=2 {
+            assert!(cache.disassemble(&broken).is_err());
+            assert_eq!(cache.misses(), attempt, "every attempt runs the disassembler again");
+        }
+        assert!(cache.is_empty());
+        assert!(cache.get(broken.fingerprint()).is_none());
     }
 }

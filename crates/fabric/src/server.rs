@@ -2,7 +2,7 @@
 //! in-process duplex transport, a `std::net::TcpListener` front end, and
 //! the [`FabricClient`] that speaks both.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -14,7 +14,7 @@ use lfi_explore::ExplorationStore;
 
 use crate::fabric::FabricHandle;
 use crate::job::{JobEvent, JobId, JobSnapshot, JobSpec, JobState};
-use crate::wire::{Request, Response, WireError};
+use crate::wire::{Request, Response, WireError, MAX_LINE_BYTES};
 
 impl FabricHandle {
     /// Dispatches one parsed request against this fabric.
@@ -114,7 +114,9 @@ impl FabricHandle {
 
     /// Serves the protocol over TCP: one accept loop thread, one thread
     /// per connection, newline-delimited requests until the peer closes.
-    /// Returns a guard that stops the accept loop when dropped.
+    /// A request line longer than [`MAX_LINE_BYTES`] is answered with
+    /// `error` and closes its connection.  Returns a guard that stops the
+    /// accept loop when dropped.
     ///
     /// ```no_run
     /// use lfi_fabric::{Fabric, FabricClient};
@@ -165,21 +167,39 @@ impl FabricHandle {
     }
 }
 
-/// One TCP connection: newline-delimited requests answered in order.
+/// One TCP connection: newline-delimited requests answered in order.  No
+/// request line may exceed [`MAX_LINE_BYTES`]: a longer one is answered with
+/// `error` and ends the connection, so a client that never sends a newline
+/// cannot grow the server's buffer without limit.
 fn serve_connection(handle: &FabricHandle, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else { return };
     let mut writer = write_half;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // One byte past the cap tells an over-long line from one that fits.
+        match reader.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        let response = handle.handle_line(&line);
+        let too_long = line.last() != Some(&b'\n') && line.len() > MAX_LINE_BYTES;
+        let response = if too_long {
+            Response::Error { message: format!("request line exceeds {MAX_LINE_BYTES} bytes") }.encode()
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => handle.handle_line(text),
+                Err(_) => Response::Error { message: "request line is not UTF-8".into() }.encode(),
+            }
+        };
         if writer.write_all(response.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
             break;
         }
         let _ = writer.flush();
+        if too_long {
+            break;
+        }
     }
 }
 

@@ -22,6 +22,16 @@ use lfi_explore::OutcomeClass;
 use crate::job::{JobEvent, JobEventKind, JobId, JobSnapshot, JobSpec, JobState};
 use lfi_scenario::Plan;
 
+/// The longest request line, in bytes without its newline, a server reads.
+///
+/// A submit line carries its whole plan, escaped; the largest plans the
+/// workspace generates — an exhaustive or a §6.1 random plan over the full
+/// 1,535-function libc profile — encode to under 0.5 MiB, so 16 MiB leaves
+/// room for plans thirty times that size while bounding what one client can
+/// make a server buffer.  A longer line is answered with `error` and the
+/// connection is closed.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 /// A malformed request or response line.
 ///
 /// ```

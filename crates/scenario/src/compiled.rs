@@ -11,6 +11,9 @@
 //! side-effect modules are ids, and per-function state lives in dense
 //! per-function slots.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
 use lfi_intern::Symbol;
 use lfi_profile::{SideEffect, SideEffectKind};
 
@@ -254,6 +257,24 @@ impl Plan {
     /// [`lfi_intern::Symbol`]).  Interceptor synthesis calls this for you;
     /// call it directly when driving trigger evaluation by hand.
     ///
+    /// # Cost
+    ///
+    /// One pass over the entries: each entry's function is grouped through a
+    /// `Symbol → slot index` map, so compiling is O(entries) (plus the
+    /// interning of every name) however many distinct functions the plan
+    /// intercepts.  A §6.1 random faultload puts a trigger on every profiled
+    /// function — about 1,530 slots — and is compiled once per case.
+    ///
+    /// # Ordering contract
+    ///
+    /// [`CompiledPlan::functions`] holds one slot per function in order of
+    /// first appearance in [`Plan::entries`], and each slot's entries keep
+    /// plan order (and their [`CompiledEntry::plan_index`]).  The order is
+    /// observable: the controller seeds each slot's random stream from the
+    /// plan seed and the slot's index, and walks a slot's entries in order
+    /// until one fires, so the slot order and the entry order decide which
+    /// calls a seeded plan injects, and so its replay plans.
+    ///
     /// Compilation *interns* — every name in the plan joins the process-wide
     /// table for the rest of the process (that is what lets the controller
     /// synthesize stubs even for functions no library defines).  Plans are
@@ -262,6 +283,7 @@ impl Plan {
     /// validate them against its fault profiles first.
     pub fn compile(&self) -> CompiledPlan {
         let mut functions: Vec<CompiledFunction> = Vec::new();
+        let mut slot_of: HashMap<Symbol, usize> = HashMap::with_capacity(self.entries.len());
         for (plan_index, entry) in self.entries.iter().enumerate() {
             let symbol = Symbol::intern(&entry.function);
             let compiled = CompiledEntry {
@@ -285,12 +307,16 @@ impl Plan {
                     .collect(),
             };
             let stack_sensitive = !compiled.stack_trace.is_empty();
-            match functions.iter_mut().find(|f| f.symbol == symbol) {
-                Some(slot) => {
+            match slot_of.entry(symbol) {
+                Entry::Occupied(slot) => {
+                    let slot = &mut functions[*slot.get()];
                     slot.stack_sensitive |= stack_sensitive;
                     slot.entries.push(compiled);
                 }
-                None => functions.push(CompiledFunction { symbol, stack_sensitive, entries: vec![compiled] }),
+                Entry::Vacant(slot) => {
+                    slot.insert(functions.len());
+                    functions.push(CompiledFunction { symbol, stack_sensitive, entries: vec![compiled] });
+                }
             }
         }
         CompiledPlan { seed: self.seed, functions }

@@ -45,7 +45,7 @@ fn main() {
             .function("send", |ctx| ctx.arg(2))
             .build(),
     );
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
     process.preload(injector.synthesize_interceptor());
 
     // The program resolves its callbacks once, up front, then only ever calls

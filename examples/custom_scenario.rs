@@ -51,7 +51,7 @@ fn main() {
     );
 
     // Shim the synthesized interceptor in front of it.
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
     process.preload(injector.synthesize_interceptor());
 
     // --- readdir64: the 5th call fails with a null pointer + EBADF ---------

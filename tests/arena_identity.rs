@@ -44,7 +44,7 @@ struct Fingerprint {
 /// plan, with call logging on — and collects every observable.
 fn run_case(process: &mut Process) -> Fingerprint {
     let libraries: Vec<String> = process.loaded_libraries().map(str::to_owned).collect();
-    let injector = Injector::new(plan());
+    let injector = Injector::new(&plan());
     process.preload(injector.synthesize_interceptor());
     process.set_call_log_enabled(true);
     let mut results = Vec::new();
@@ -75,7 +75,7 @@ fn arena_checkout_is_identical_to_a_fresh_build() {
     // leftover errno, call log and file descriptors.
     {
         let mut process = arena.checkout();
-        let injector = Injector::new(Plan::new().entry(PlanEntry {
+        let injector = Injector::new(&Plan::new().entry(PlanEntry {
             function: "read".into(),
             trigger: Trigger::with_probability(1.0),
             action: FaultAction::return_value(-7).with_errno(9),
@@ -101,7 +101,7 @@ fn arena_checkout_is_identical_after_a_panicked_case() {
 
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut process = arena.checkout();
-        let injector = Injector::new(plan());
+        let injector = Injector::new(&plan());
         process.preload(injector.synthesize_interceptor());
         process.set_call_log_enabled(true);
         let _ = process.call("read", &[3, 0, 1]);

@@ -63,7 +63,7 @@ fn profile_scenario_inject_log_replay_pipeline() {
     assert_eq!(plan_back, plan);
 
     // Inject into a running process.
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
     let mut process = Process::new();
     process.load(demo_runtime());
     process.preload(injector.synthesize_interceptor());
@@ -84,7 +84,7 @@ fn profile_scenario_inject_log_replay_pipeline() {
 
     // The replay script reproduces exactly the same observable behaviour.
     let replay = injector.replay_plan();
-    let replay_injector = Injector::new(replay);
+    let replay_injector = Injector::new(&replay);
     let mut process2 = Process::new();
     process2.load(demo_runtime());
     process2.preload(replay_injector.synthesize_interceptor());
@@ -141,9 +141,9 @@ fn interceptors_for_three_libraries_coexist_like_the_apache_setup() {
         TriggerLoad::new(["apr_file_read", "apr_socket_send"], 4, 2).generate(&[FaultProfile::new("libapr-1.so.0")]);
     let aprutil_plan =
         TriggerLoad::new(["apu_brigade_write"], 2, 3).generate(&[FaultProfile::new("libaprutil-1.so.0")]);
-    let libc_injector = Injector::new(libc_plan);
-    let apr_injector = Injector::new(apr_plan);
-    let aprutil_injector = Injector::new(aprutil_plan);
+    let libc_injector = Injector::new(&libc_plan);
+    let apr_injector = Injector::new(&apr_plan);
+    let aprutil_injector = Injector::new(&aprutil_plan);
     process.preload(libc_injector.synthesize_interceptor_named("lfi_libc.so"));
     process.preload(apr_injector.synthesize_interceptor_named("lfi_apr.so"));
     process.preload(aprutil_injector.synthesize_interceptor_named("lfi_aprutil.so"));
@@ -180,7 +180,7 @@ fn exhaustive_scenario_iterates_error_codes_on_consecutive_calls() {
     lfi.add_library(demo_library());
     let plan = lfi.exhaustive_scenario(&["libdemo.so"]).unwrap();
 
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
     let mut process = Process::new();
     process.load(demo_runtime());
     process.preload(injector.synthesize_interceptor());
@@ -205,7 +205,7 @@ fn mysql_suite_runs_under_an_lfi_generated_scenario() {
 
     let world = new_world();
     let mut process = base_process(&world, false);
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
     process.preload(injector.synthesize_interceptor());
     let mut server = MysqlServer::start(&mut process);
     let report = server.run_test_suite(&mut process, 150);

@@ -185,7 +185,7 @@ fn exhaustive_scenario_injects_through_function_pointers() {
     let mut lfi = Lfi::new();
     lfi.add_library(compiled.object);
     let plan = lfi.exhaustive_scenario(&["libcb.so"]).unwrap();
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
 
     let mut process = Process::new();
     process.load(

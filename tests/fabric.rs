@@ -176,6 +176,37 @@ fn wire_protocol_round_trips_over_duplex_and_tcp() {
 }
 
 #[test]
+fn tcp_request_line_longer_than_the_cap_is_answered_with_error() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let fabric = Fabric::builder().workers(0).build();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+    let guard = fabric.serve_tcp(listener).expect("server thread");
+
+    // One byte more than the cap, and no newline anywhere.
+    let mut stream = std::net::TcpStream::connect(guard.addr()).expect("connect");
+    // A server that kept buffering would never answer; fail instead of hanging.
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    let chunk = vec![b'a'; 1 << 16];
+    let mut remaining = lfi::fabric::MAX_LINE_BYTES + 1;
+    while remaining > 0 {
+        let n = remaining.min(chunk.len());
+        stream.write_all(&chunk[..n]).expect("the server keeps reading up to the cap");
+        remaining -= n;
+    }
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("a reply line");
+    assert!(reply.starts_with("error message="), "over-long line answered with error, got {reply:?}");
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).expect("orderly close"), 0, "the connection is closed after the error");
+
+    // The server itself keeps serving.
+    let mut client = lfi::fabric::FabricClient::tcp(guard.addr()).expect("connect again");
+    client.ping().expect("pong after the over-long line");
+}
+
+#[test]
 fn journaled_job_survives_a_kill_and_recovers_byte_identically() {
     let reader = || FnWorkload::new("reader", reader_process, read_four);
     let dir = std::env::temp_dir().join(format!("lfi-fabric-journal-{}", std::process::id()));

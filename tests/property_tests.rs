@@ -312,7 +312,7 @@ proptest! {
 
         let mut process = Process::new();
         process.load(NativeLibrary::builder("libc.so.6").function("read", |ctx| ctx.arg(2)).build());
-        let injector = Injector::new(plan);
+        let injector = Injector::new(&plan);
         process.preload(injector.synthesize_interceptor());
 
         for call in 1..=6u64 {

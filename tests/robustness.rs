@@ -100,7 +100,7 @@ fn interceptor_without_an_original_library_still_injects_and_passes_through() {
         trigger: Trigger::on_call(2),
         action: FaultAction::return_value(-1),
     });
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
     let mut process = Process::new();
     process.preload(injector.synthesize_interceptor());
     assert_eq!(process.call("ghost", &[]).unwrap(), 0);
@@ -111,7 +111,7 @@ fn interceptor_without_an_original_library_still_injects_and_passes_through() {
 
 #[test]
 fn empty_and_degenerate_plans_are_harmless() {
-    let injector = Injector::new(Plan::new());
+    let injector = Injector::new(&Plan::new());
     assert!(injector.intercepted_functions().is_empty());
     let library = injector.synthesize_interceptor();
     assert_eq!(library.symbol_count(), 0);
@@ -148,7 +148,7 @@ fn probability_bounds_are_clamped() {
         trigger: Trigger::with_probability(42.0),
         action: FaultAction::return_value(-1),
     });
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
     let mut process = Process::new();
     process.preload(injector.synthesize_interceptor());
     assert_eq!(process.call("f", &[]).unwrap(), -1);
@@ -158,7 +158,7 @@ fn probability_bounds_are_clamped() {
         trigger: Trigger::with_probability(-3.0),
         action: FaultAction::return_value(-1),
     });
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
     let mut process = Process::new();
     process.preload(injector.synthesize_interceptor());
     assert_eq!(process.call("f", &[]).unwrap(), 0);
@@ -171,7 +171,7 @@ fn stack_trace_triggers_never_fire_without_a_matching_stack() {
         trigger: Trigger::on_call(1).frame("frame_that_never_exists"),
         action: FaultAction::return_value(-1),
     });
-    let injector = Injector::new(plan);
+    let injector = Injector::new(&plan);
     let mut process = Process::new();
     process.load(
         lfi::runtime::NativeLibrary::builder("libc.so.6")
