@@ -8,9 +8,8 @@
 //! degree for running independent test cases on worker threads.  Execution
 //! is session-based: [`Campaign::start`] hands a [`Workload`] to a worker
 //! pool and returns a streaming [`CampaignRun`]; the blocking entry points
-//! ([`Campaign::run`], [`Campaign::run_per_case`],
-//! [`Campaign::run_workload`]) are thin collect-into-report wrappers over
-//! it.
+//! ([`Campaign::run`], [`Campaign::run_workload`]) are thin
+//! collect-into-report wrappers over it.
 
 use std::fmt;
 use std::sync::atomic::AtomicUsize;
@@ -233,12 +232,6 @@ impl ExecutionPolicy {
     }
 }
 
-/// A per-case workload closure: consumes the prepared process and reports
-/// how the run ended.  Boxed so case-specific state (a fresh simulated
-/// world, a request trace, …) can be captured per case — see
-/// [`Campaign::run_per_case`].
-pub type CaseWorkload = Box<dyn FnOnce(&mut Process) -> ExitStatus + Send>;
-
 /// Fluent builder for fault-injection campaigns.
 ///
 /// [`Campaign::start`] turns the builder into a streaming
@@ -425,17 +418,6 @@ impl Campaign {
     {
         self.run_workload(FnWorkload::new("closure-pair", setup, workload))
     }
-
-    /// Runs the campaign with a per-case runner, for workloads that need
-    /// case-local state: the runner returns the fresh process *and* the
-    /// workload closure for that case.  A thin wrapper over
-    /// [`Campaign::start`], like [`Campaign::run`].
-    pub fn run_per_case<R>(self, runner: R) -> CampaignReport
-    where
-        R: Fn(&TestCase) -> (Process, CaseWorkload) + Send + Sync + 'static,
-    {
-        self.run_workload(PerCaseWorkload::new(runner))
-    }
 }
 
 impl fmt::Debug for Campaign {
@@ -447,48 +429,6 @@ impl fmt::Debug for Campaign {
             .field("parallelism", &self.parallelism)
             .field("capture_calls", &self.capture_calls)
             .finish()
-    }
-}
-
-/// Adapter behind [`Campaign::run_per_case`]: each case's `setup` stashes
-/// the runner-produced closure under the executing worker's thread id, and
-/// `run` — which the session always calls on the same worker thread,
-/// immediately after setup — takes it back out.
-struct PerCaseWorkload<R> {
-    runner: R,
-    pending: parking_lot::Mutex<std::collections::HashMap<std::thread::ThreadId, CaseWorkload>>,
-}
-
-impl<R> PerCaseWorkload<R>
-where
-    R: Fn(&TestCase) -> (Process, CaseWorkload) + Send + Sync,
-{
-    fn new(runner: R) -> Self {
-        Self { runner, pending: parking_lot::Mutex::new(std::collections::HashMap::new()) }
-    }
-}
-
-impl<R> Workload for PerCaseWorkload<R>
-where
-    R: Fn(&TestCase) -> (Process, CaseWorkload) + Send + Sync,
-{
-    fn name(&self) -> &str {
-        "per-case-runner"
-    }
-
-    fn setup(&self, case: &TestCase) -> lfi_runtime::PooledProcess {
-        let (process, workload) = (self.runner)(case);
-        self.pending.lock().insert(std::thread::current().id(), workload);
-        process.into()
-    }
-
-    fn run(&self, process: &mut Process) -> ExitStatus {
-        let workload = self
-            .pending
-            .lock()
-            .remove(&std::thread::current().id())
-            .expect("setup stashes this case's workload on the executing worker thread");
-        workload(process)
     }
 }
 
@@ -818,21 +758,6 @@ mod tests {
         assert_eq!(report.outcomes.len(), 2);
         assert_eq!(report.failures().count(), 1); // read() -> -1
         assert_eq!(report.crashes().count(), 1); // read() -> 4 => huge malloc
-    }
-
-    #[test]
-    fn per_case_runners_carry_case_local_state() {
-        let report = Campaign::new().cases(standard_cases()).parallelism(2).run_per_case(|case| {
-            // Case-local state: the workload closure owns the case name.
-            let name = case.name.clone();
-            let case_workload: CaseWorkload = Box::new(move |process| {
-                let _ = name; // a stand-in for a per-case world
-                workload(process)
-            });
-            (setup(), case_workload)
-        });
-        assert_eq!(report.outcomes.len(), 3);
-        assert_eq!(report.crashes().count(), 1);
     }
 
     #[test]

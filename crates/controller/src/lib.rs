@@ -33,7 +33,7 @@ mod session;
 pub mod stubsrc;
 mod workload;
 
-pub use campaign::{Campaign, CampaignObserver, CampaignReport, CaseWorkload, ExecutionPolicy, TestCase, TestOutcome};
+pub use campaign::{Campaign, CampaignObserver, CampaignReport, ExecutionPolicy, TestCase, TestOutcome};
 pub use injector::{Injector, RefinementFinding, INTERCEPTOR_LIBRARY_NAME};
 pub use log::{InjectionRecord, TestLog};
 pub use session::{CampaignRun, CancelHandle, CaseEvent, ProgressSnapshot, RunProgress, SkipReason};

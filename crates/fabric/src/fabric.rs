@@ -679,17 +679,12 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
     }
 
     let mut result = LeaseResult::default();
-    let mut stacks: Vec<Vec<lfi_intern::Symbol>> = vec![Vec::new(); cells.len()];
     for event in run {
         match event {
-            CaseEvent::Started { index, name } => {
+            CaseEvent::Started { name, .. } => {
                 result.events.push(JobEventKind::Started { case: name });
-                let _ = index;
             }
             CaseEvent::Injection { index, record } => {
-                if stacks[index].is_empty() {
-                    stacks[index] = record.stack.clone();
-                }
                 result.events.push(JobEventKind::Injection {
                     case: case_name(&cells[index]),
                     function: record.function_name().to_owned(),
@@ -700,6 +695,8 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
             CaseEvent::Outcome { index, outcome } => {
                 let class = OutcomeClass::of(outcome.status);
                 let injections = outcome.injection_count();
+                // The cluster stack is the case's first non-empty injection stack.
+                let stack = outcome.log.injections.iter().map(|record| &record.stack).find(|stack| !stack.is_empty());
                 result
                     .events
                     .push(JobEventKind::Finished { case: outcome.name.clone(), outcome: class, injections });
@@ -709,7 +706,7 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
                         outcome: class,
                         injections,
                         triggered: injections > 0,
-                        stack: std::mem::take(&mut stacks[index]),
+                        stack: stack.cloned().unwrap_or_default(),
                         case: outcome.name,
                     },
                 ));

@@ -7,11 +7,10 @@ use std::fmt;
 use lfi_controller::ProgressSnapshot;
 use lfi_explore::{CrashCluster, OutcomeClass};
 use lfi_scenario::Plan;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a submitted job, unique within one fabric (ids are handed
 /// out sequentially and never reused).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -34,7 +33,7 @@ impl fmt::Display for JobId {
 ///
 /// `Done`, `Failed` and `Cancelled` are terminal; `Paused` only stops *new*
 /// leases — outstanding leases finish and are folded in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Submitted, no lease issued yet.
     Queued,
@@ -100,7 +99,7 @@ impl fmt::Display for JobState {
 /// [`WorkloadRegistry`]: lfi_controller::WorkloadRegistry
 /// [`Campaign::from_generator`]: lfi_controller::Campaign::from_generator
 /// [`FaultCell::plan_entry`]: lfi_scenario::FaultCell::plan_entry
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job name (report label; need not be unique).
     pub name: String,

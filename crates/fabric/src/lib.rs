@@ -80,7 +80,7 @@ mod wire;
 pub use fabric::{Fabric, FabricBuilder, FabricError, FabricHandle, DEFAULT_LEASE_BATCH, DEFAULT_LEASE_DEADLINE};
 pub use job::{JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
 pub use server::{FabricClient, ServerGuard};
-pub use wire::{escape, unescape, Request, Response, WireError, MAX_LINE_BYTES};
+pub use wire::{escape, unescape, Request, Response, WireError, MAX_LINE_BYTES, MAX_REPLY_BYTES};
 
 #[cfg(test)]
 mod tests {

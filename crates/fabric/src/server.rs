@@ -3,7 +3,7 @@
 //! the [`FabricClient`] that speaks both.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -14,7 +14,7 @@ use lfi_explore::ExplorationStore;
 
 use crate::fabric::FabricHandle;
 use crate::job::{JobEvent, JobId, JobSnapshot, JobSpec, JobState};
-use crate::wire::{Request, Response, WireError, MAX_LINE_BYTES};
+use crate::wire::{Request, Response, WireError, MAX_LINE_BYTES, MAX_REPLY_BYTES};
 
 impl FabricHandle {
     /// Dispatches one parsed request against this fabric.
@@ -346,7 +346,9 @@ impl FabricClient {
     /// # Errors
     ///
     /// [`WireError::Transport`] when the connection drops,
-    /// [`WireError::Malformed`] when the peer breaks the protocol.
+    /// [`WireError::Malformed`] when the peer breaks the protocol.  A TCP
+    /// reply longer than [`MAX_REPLY_BYTES`] is malformed and closes the
+    /// connection, so later requests fail with [`WireError::Transport`].
     pub fn request(&mut self, request: &Request) -> Result<Response, WireError> {
         let line = request.encode();
         let reply = match &mut self.transport {
@@ -359,14 +361,21 @@ impl FabricClient {
                 writer
                     .write_all(format!("{line}\n").as_bytes())
                     .map_err(|error| WireError::Transport { message: error.to_string() })?;
-                let mut reply = String::new();
+                let mut reply = Vec::new();
+                // One byte past the cap tells an over-long reply from one that fits.
                 let read = reader
-                    .read_line(&mut reply)
+                    .by_ref()
+                    .take(MAX_REPLY_BYTES as u64 + 1)
+                    .read_until(b'\n', &mut reply)
                     .map_err(|error| WireError::Transport { message: error.to_string() })?;
                 if read == 0 {
                     return Err(WireError::Transport { message: "connection closed".into() });
                 }
-                reply
+                if reply.last() != Some(&b'\n') && reply.len() > MAX_REPLY_BYTES {
+                    let _ = writer.shutdown(Shutdown::Both);
+                    return Err(WireError::malformed(format!("reply line exceeds {MAX_REPLY_BYTES} bytes")));
+                }
+                String::from_utf8(reply).map_err(|_| WireError::malformed("reply line is not UTF-8"))?
             }
         };
         Response::parse(reply.trim_end())

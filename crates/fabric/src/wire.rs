@@ -1,9 +1,9 @@
 //! The line-delimited wire protocol: one request per line, one response
 //! per line, tokens as `key=value` pairs with percent-escaped values.
 //!
-//! The vendored serde shims are API-parity no-ops, so — exactly like the
-//! scenario XML dialect — encoding is hand-rolled and fully round-trip
-//! tested.  The grammar is deliberately trivial to speak from `netcat`:
+//! Like the scenario XML dialect, encoding is hand-rolled and fully
+//! round-trip tested.  The grammar is deliberately trivial to speak from
+//! `netcat`:
 //!
 //! ```text
 //! submit name=smoke workload=pidgin-login plan=%3Cplan%3E...%3C/plan%3E
@@ -31,6 +31,18 @@ use lfi_scenario::Plan;
 /// make a server buffer.  A longer line is answered with `error` and the
 /// connection is closed.
 pub const MAX_LINE_BYTES: usize = 16 << 20;
+
+/// The longest reply line, in bytes without its newline, a
+/// [`FabricClient`](crate::FabricClient) reads over TCP.
+///
+/// The largest reply is a `checkpoint`, which carries a job's whole
+/// exploration store, escaped.  A job whose plan fills a
+/// [`MAX_LINE_BYTES`] submit line checkpoints to about 4.6 times that line
+/// (about 73 MiB) once every cell has crashed into a cluster of its own, so
+/// 128 MiB leaves room for deeper crash stacks while bounding what one
+/// server can make a client buffer.  A longer reply is a
+/// [`WireError::Malformed`] and the client closes the connection.
+pub const MAX_REPLY_BYTES: usize = 128 << 20;
 
 /// A malformed request or response line.
 ///
@@ -590,9 +602,6 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lfi_controller::ProgressSnapshot;
-    use lfi_runtime::Signal;
-    use lfi_scenario::{FaultAction, PlanEntry, Trigger};
 
     #[test]
     fn escape_round_trips_structural_characters() {
@@ -603,119 +612,6 @@ mod tests {
         }
         assert!(unescape("%zz").is_err());
         assert!(unescape("%4").is_err());
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        let plan = Plan::new().with_seed(7).entry(PlanEntry {
-            function: "write".into(),
-            trigger: Trigger::on_call(2),
-            action: FaultAction::return_value(-1).with_errno(4),
-        });
-        let requests = vec![
-            Request::Ping,
-            Request::Jobs,
-            Request::Submit {
-                spec: JobSpec::new("login sweep", "pidgin-login", plan)
-                    .weight(3)
-                    .lease_batch(4)
-                    .halt_on_crash()
-                    .max_cases(50),
-            },
-            Request::Status { job: JobId(4) },
-            Request::Events { job: JobId(4), after: 17, max: 100 },
-            Request::Cancel { job: JobId(1) },
-            Request::Pause { job: JobId(2) },
-            Request::Resume { job: JobId(2) },
-            Request::Checkpoint { job: JobId(3) },
-            Request::Drain,
-        ];
-        for request in requests {
-            let line = request.encode();
-            assert!(!line.contains('\n'));
-            assert_eq!(Request::parse(&line).unwrap(), request, "{line}");
-        }
-        // The submitted plan survives the trip as scenario XML.
-        let Request::Submit { spec } = Request::parse(&requests_sample().encode()).unwrap() else {
-            panic!("expected submit");
-        };
-        assert_eq!(spec.plan.entries.len(), 1);
-        assert_eq!(spec.plan.seed, Some(7));
-    }
-
-    fn requests_sample() -> Request {
-        let plan = Plan::new().with_seed(7).entry(PlanEntry {
-            function: "write".into(),
-            trigger: Trigger::on_call(2),
-            action: FaultAction::return_value(-1).with_errno(4),
-        });
-        Request::Submit { spec: JobSpec::new("login sweep", "pidgin-login", plan) }
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        let responses = vec![
-            Response::Pong,
-            Response::Jobs {
-                jobs: vec![
-                    (JobId(1), "login sweep".into(), JobState::Running),
-                    (JobId(2), "x;y".into(), JobState::Done),
-                ],
-            },
-            Response::Jobs { jobs: Vec::new() },
-            Response::Submitted { job: JobId(9) },
-            Response::Status {
-                snapshot: JobSnapshot {
-                    id: JobId(3),
-                    name: "mysql suite".into(),
-                    workload: "mysql-suite".into(),
-                    state: JobState::Paused,
-                    cases: 60,
-                    pending: 10,
-                    outstanding: 8,
-                    progress: ProgressSnapshot { started: 50, finished: 42, skipped: 0, crashes: 2, injections: 42 },
-                    requeued: 8,
-                    clusters: 1,
-                },
-            },
-            Response::Events {
-                job: JobId(3),
-                next: 6,
-                events: vec![
-                    JobEvent { seq: 0, kind: JobEventKind::State(JobState::Running) },
-                    JobEvent { seq: 1, kind: JobEventKind::Started { case: "write-c2-r-1-e4".into() } },
-                    JobEvent {
-                        seq: 2,
-                        kind: JobEventKind::Injection {
-                            case: "write-c2-r-1-e4".into(),
-                            function: "write".into(),
-                            retval: Some(-1),
-                            errno: None,
-                        },
-                    },
-                    JobEvent {
-                        seq: 3,
-                        kind: JobEventKind::Finished {
-                            case: "write-c2-r-1-e4".into(),
-                            outcome: OutcomeClass::Crash(Signal::Abort),
-                            injections: 1,
-                        },
-                    },
-                    JobEvent { seq: 4, kind: JobEventKind::Skipped { case: "write-c3-r-1-e4".into() } },
-                    JobEvent { seq: 5, kind: JobEventKind::Requeued { cells: 3 } },
-                ],
-            },
-            Response::Events { job: JobId(1), next: 0, events: Vec::new() },
-            Response::StateChanged { job: JobId(2), state: JobState::Cancelled },
-            Response::Checkpoint { job: JobId(2), store_xml: "<exploration-store seed=\"0\"/>".into() },
-            Response::Draining,
-            Response::Error { message: "no workload registered under \"nope\"".into() },
-        ];
-        for response in responses {
-            let line = response.encode();
-            assert!(!line.contains('\n'));
-            assert_eq!(Response::parse(&line).unwrap(), response, "{line}");
-        }
     }
 
     #[test]

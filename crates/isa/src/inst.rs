@@ -1,12 +1,10 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Loc, Reg};
 
 /// The right-hand operand of ALU, compare and store instructions: either an
 /// immediate constant or the current value of a [`Loc`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A signed immediate constant.
     Imm(i64),
@@ -46,7 +44,7 @@ impl From<Loc> for Operand {
 }
 
 /// Two-operand arithmetic/logic operations (`dst = dst op src`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinAluOp {
     /// Addition.
     Add,
@@ -78,7 +76,7 @@ impl fmt::Display for BinAluOp {
 
 /// Branch conditions evaluated against the flags set by the latest
 /// [`Inst::Cmp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Cond {
     /// Equal.
     Eq,
@@ -139,7 +137,7 @@ impl fmt::Display for Cond {
 /// Jump targets are expressed as *instruction indices* within the containing
 /// function body; direct call targets are indices into the containing object
 /// file's symbol table (see `lfi-objfile`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// `dst = imm` — move an immediate constant into a location.
     MovImm {

@@ -15,8 +15,10 @@
 //! * instructions have a binary encoding ([`encode`]) so the profiler operates
 //!   on *binaries*, not on a convenient in-memory IR.
 //!
-//! The crate also ships a small interpreter ([`vm`]) used to derive execution
-//! ground truth for the profiler-accuracy experiments (§6.3 of the paper).
+//! The crate also ships a small reference interpreter ([`vm`]).  No part of
+//! the LFI pipeline executes SimISA; tests use the interpreter to check that
+//! `lfi-asm` lowers each function spec to code that really returns what the
+//! spec says.
 //!
 //! ```
 //! use lfi_isa::{Inst, Loc, Operand, Platform, Reg};
@@ -34,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod decoded;
 pub mod encode;
 mod error;
 mod inst;
@@ -43,7 +44,6 @@ mod platform;
 mod reg;
 pub mod vm;
 
-pub use decoded::{DecodedBody, ExecutionController, RunForever, StepBudget};
 pub use error::IsaError;
 pub use inst::{BinAluOp, Cond, Inst, Operand};
 pub use loc::Loc;

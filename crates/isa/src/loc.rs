@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Reg;
 
 /// A *location* a value can live in.
@@ -19,7 +17,7 @@ use crate::Reg;
 /// * [`Loc::Global`] — a module-global data slot at the given offset in the
 ///   library's data image.
 /// * [`Loc::Tls`] — a thread-local slot at the given offset (e.g. `errno`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Loc {
     /// A general-purpose register.
     Reg(Reg),

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A general-purpose register of the SimISA machine.
 ///
 /// SimISA exposes 16 general-purpose registers, `r0` through `r15`.  Platform
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// use lfi_isa::Reg;
 /// assert_eq!(Reg(3).to_string(), "r3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(pub u8);
 
 impl Reg {

@@ -1,11 +1,10 @@
-//! A small interpreter for SimISA function bodies.
+//! A small reference interpreter for SimISA function bodies.
 //!
-//! The interpreter is not part of the LFI pipeline itself — the original tool
-//! never executes library code during profiling — but it gives the
-//! reproduction an *execution-derived ground truth*: by running a corpus
-//! function over its error paths we can observe which values it actually
-//! returns and which `errno`-style side effects it actually applies, and
-//! score the static profiler against that (§6.3, the libpcre experiment).
+//! The interpreter is not part of the LFI pipeline: the original tool never
+//! executes library code, and the profiler here analyses SimISA statically.
+//! Tests use it as the reference semantics for `lfi-asm`'s lowering: running
+//! a compiled function over its selector arguments must return exactly the
+//! values and apply exactly the side effects its spec declares.
 
 use std::collections::HashMap;
 
@@ -184,36 +183,6 @@ impl Vm {
     /// within the step limit, falls off the end of its body, or calls a
     /// symbol the environment cannot resolve.
     pub fn run(&self, body: &[Inst], args: &[i64], env: &mut dyn CallEnv) -> Result<ExecOutcome, IsaError> {
-        self.run_reference(body, args, env)
-    }
-
-    /// Compiles `body` for the fast dispatch loop under this interpreter's
-    /// platform ABI.  See [`crate::DecodedBody`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IsaError::JumpOutOfRange`] for a static jump target outside
-    /// the body.
-    pub fn compile(&self, body: &[Inst]) -> Result<crate::DecodedBody, IsaError> {
-        crate::DecodedBody::compile(self.platform, body)
-    }
-
-    /// Runs a pre-compiled body under this interpreter's step limit —
-    /// outcome-identical to [`Vm::run`] on the source instructions.
-    ///
-    /// # Errors
-    ///
-    /// Same dynamic errors as [`Vm::run`].
-    pub fn run_decoded(
-        &self,
-        body: &crate::DecodedBody,
-        args: &[i64],
-        env: &mut dyn CallEnv,
-    ) -> Result<ExecOutcome, IsaError> {
-        body.run(args, env, &mut crate::StepBudget::new(self.options.step_limit))
-    }
-
-    fn run_reference(&self, body: &[Inst], args: &[i64], env: &mut dyn CallEnv) -> Result<ExecOutcome, IsaError> {
         let abi = self.platform.abi();
         let mut regs = [0i64; Reg::COUNT as usize];
         let mut stack: HashMap<i32, i64> = HashMap::new();

@@ -2,12 +2,11 @@ use std::collections::HashMap;
 use std::fmt;
 
 use lfi_isa::Platform;
-use serde::{Deserialize, Serialize};
 
 use crate::{FunctionCode, ObjError, Symbol, SymbolDef, SymbolId};
 
 /// Storage class of a data symbol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Storage {
     /// Ordinary module-global data.
     Global,
@@ -25,7 +24,7 @@ impl fmt::Display for Storage {
 }
 
 /// A named data slot in a shared object's data image.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DataSymbol {
     /// Symbol name (e.g. `errno`).
     pub name: String,
@@ -39,7 +38,7 @@ pub struct DataSymbol {
 ///
 /// Construct one with [`crate::ObjectBuilder`] or parse one from bytes with
 /// [`SharedObject::from_bytes`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedObject {
     pub(crate) name: String,
     pub(crate) platform: Platform,

@@ -1,12 +1,10 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a symbol within a [`crate::SharedObject`]'s symbol table.
 ///
 /// SimISA `call` instructions name their callee by symbol-table index, exactly
 /// as real relocatable code names callees through PLT/GOT slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SymbolId(pub u32);
 
 impl fmt::Display for SymbolId {
@@ -21,7 +19,7 @@ impl fmt::Display for SymbolId {
 /// The paper's Table 1 is keyed by this classification (`void` / scalar /
 /// pointer).  SimObj carries it as optional metadata: the profiler itself
 /// never needs it, but the survey experiment does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReturnType {
     /// The function returns nothing.
     Void,
@@ -43,7 +41,7 @@ impl fmt::Display for ReturnType {
 }
 
 /// Header-style signature information for a function symbol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FunctionSig {
     /// Declared return type.
     pub return_type: ReturnType,
@@ -59,7 +57,7 @@ impl FunctionSig {
 }
 
 /// How a symbol is defined.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SymbolDef {
     /// Defined in this object: its code lives at the given function index.
     Defined {
@@ -76,7 +74,7 @@ pub enum SymbolDef {
 }
 
 /// An entry in a SimObj symbol table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Symbol {
     /// Symbol name.  Empty for stripped local symbols.
     pub name: String,
@@ -123,7 +121,7 @@ impl fmt::Display for Symbol {
 }
 
 /// The machine code of one function defined in a SimObj object.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FunctionCode {
     /// Encoded SimISA bytes (see `lfi_isa::encode`).
     pub code: Vec<u8>,

@@ -1,13 +1,11 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::xml::{self, XmlElement};
 use crate::ProfileError;
 
 /// The channel through which an error side effect is applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SideEffectKind {
     /// A thread-local-storage variable (e.g. `errno`).
     Tls,
@@ -40,7 +38,7 @@ impl SideEffectKind {
 }
 
 /// One side effect accompanying an error return (§3.2, §3.3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SideEffect {
     /// Channel used to expose the error detail.
     pub kind: SideEffectKind,
@@ -71,7 +69,7 @@ impl SideEffect {
 }
 
 /// One possible error return of a function, with its side effects.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorReturn {
     /// The error return value.
     pub retval: i64,
@@ -101,7 +99,7 @@ impl ErrorReturn {
 }
 
 /// The fault profile of one exported function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionProfile {
     /// Exported function name.
     pub name: String,
@@ -133,7 +131,7 @@ impl FunctionProfile {
 }
 
 /// The fault profile of a whole library (§3.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultProfile {
     /// Library file name (e.g. `libc.so.6`).
     pub library: String,

@@ -1,17 +1,21 @@
 //! Integration coverage for the campaign fabric: crash-safe lease handoff
 //! under a mid-batch worker death, weighted fairness across unequal tenants,
-//! the wire protocol over both transports, and checkpoint/restore of a
-//! half-finished job into a fresh fabric.
+//! the wire protocol over both transports (with capped line lengths and
+//! fuzzed parsers), and checkpoint/restore of a half-finished job into a
+//! fresh fabric.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lfi::controller::FnWorkload;
-use lfi::explore::ExplorationStore;
-use lfi::fabric::{Fabric, JobEventKind, JobSpec, JobState};
-use lfi::runtime::{ExitStatus, NativeLibrary, Process};
+use lfi::controller::{FnWorkload, ProgressSnapshot};
+use lfi::explore::{ExplorationStore, OutcomeClass};
+use lfi::fabric::{
+    Fabric, JobEvent, JobEventKind, JobId, JobSnapshot, JobSpec, JobState, Request, Response, WireError,
+};
+use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::{FaultAction, Plan, PlanEntry, Trigger};
+use proptest::prelude::*;
 
 fn reader_process() -> Process {
     let mut process = Process::new();
@@ -207,6 +211,41 @@ fn tcp_request_line_longer_than_the_cap_is_answered_with_error() {
 }
 
 #[test]
+fn tcp_reply_line_longer_than_the_cap_is_a_wire_error() {
+    use std::io::{BufRead, BufReader, Write};
+
+    // A hostile peer: read one request, then stream one byte more than the
+    // reply cap with no newline anywhere.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+    let addr = listener.local_addr().expect("bound address");
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("client connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut request = String::new();
+        reader.read_line(&mut request).expect("one request line");
+        let mut writer = stream;
+        let chunk = vec![b'a'; 1 << 16];
+        let mut remaining = lfi::fabric::MAX_REPLY_BYTES + 1;
+        while remaining > 0 {
+            let n = remaining.min(chunk.len());
+            // The client may close once it has read past the cap.
+            if writer.write_all(&chunk[..n]).is_err() {
+                break;
+            }
+            remaining -= n;
+        }
+    });
+
+    let mut client = lfi::fabric::FabricClient::tcp(addr).expect("connect");
+    let error = client.ping().expect_err("an over-long reply is refused");
+    assert!(matches!(error, WireError::Malformed { .. }), "got {error:?}");
+    assert!(error.to_string().contains("exceeds"), "got {error}");
+    // The client closed the connection rather than resynchronise mid-line.
+    assert!(matches!(client.ping().expect_err("connection is closed"), WireError::Transport { .. }));
+    peer.join().expect("peer thread");
+}
+
+#[test]
 fn journaled_job_survives_a_kill_and_recovers_byte_identically() {
     let reader = || FnWorkload::new("reader", reader_process, read_four);
     let dir = std::env::temp_dir().join(format!("lfi-fabric-journal-{}", std::process::id()));
@@ -319,4 +358,191 @@ fn checkpoint_restores_into_a_fresh_fabric() {
     let clean_job = clean.submit(spec()).expect("workload registered");
     assert_eq!(clean.wait_job(clean_job, Duration::from_secs(60)), Some(JobState::Done));
     assert_eq!(clean.checkpoint(clean_job).expect("job exists").to_xml(), final_xml);
+}
+
+// ---------------------------------------------------------------------------
+// Wire fuzzing: hostile lines never panic the parsers, and every variant
+// survives encode -> parse.
+// ---------------------------------------------------------------------------
+
+const VERBS: [&str; 15] = [
+    "ping",
+    "jobs",
+    "submit",
+    "status",
+    "events",
+    "cancel",
+    "pause",
+    "resume",
+    "checkpoint",
+    "drain",
+    "pong",
+    "submitted",
+    "state",
+    "draining",
+    "error",
+];
+const STATES: [JobState; 6] = [
+    JobState::Queued,
+    JobState::Running,
+    JobState::Paused,
+    JobState::Cancelled,
+    JobState::Done,
+    JobState::Failed,
+];
+
+/// Text over U+0000..U+07FF: every ASCII structural and control character
+/// of the protocol plus one- and two-byte UTF-8.
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0u32..0x800, 0..24)
+        .prop_map(|codes| codes.into_iter().filter_map(char::from_u32).collect())
+}
+
+/// Arbitrary lines, half of them led by a real verb so parsing gets past
+/// the verb dispatch.
+fn arb_line() -> impl Strategy<Value = String> {
+    let led = (0..VERBS.len(), arb_text()).prop_map(|(verb, tail)| format!("{} {tail}", VERBS[verb]));
+    prop_oneof![arb_text(), led]
+}
+
+fn arb_job() -> impl Strategy<Value = JobId> {
+    (0u64..1_000).prop_map(JobId)
+}
+
+fn arb_state() -> impl Strategy<Value = JobState> {
+    (0..STATES.len()).prop_map(|state| STATES[state])
+}
+
+fn arb_spec() -> impl Strategy<Value = JobSpec> {
+    let entry =
+        ("[a-z_][a-z0-9_]{0,12}", 1u64..50, -64i64..64, 1i64..64).prop_map(|(function, call, retval, errno)| {
+            PlanEntry {
+                function,
+                trigger: Trigger::on_call(call),
+                action: FaultAction::return_value(retval).with_errno(errno),
+            }
+        });
+    let plan = (proptest::collection::vec(entry, 0..4), proptest::option::of(any::<u64>()))
+        .prop_map(|(entries, seed)| Plan { entries, seed });
+    let knobs = (1u32..10, proptest::option::of(1usize..64), any::<bool>(), proptest::option::of(0usize..1_000));
+    (arb_text(), arb_text(), plan, knobs).prop_map(
+        |(name, workload, plan, (weight, lease_batch, halt_on_crash, max_cases))| JobSpec {
+            lease_batch,
+            halt_on_crash,
+            max_cases,
+            ..JobSpec::new(name, workload, plan).weight(weight)
+        },
+    )
+}
+
+fn arb_request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        Just(Request::Ping),
+        Just(Request::Jobs),
+        arb_spec().prop_map(|spec| Request::Submit { spec }),
+        arb_job().prop_map(|job| Request::Status { job }),
+        (arb_job(), any::<u64>(), 0usize..10_000).prop_map(|(job, after, max)| Request::Events { job, after, max }),
+        arb_job().prop_map(|job| Request::Cancel { job }),
+        arb_job().prop_map(|job| Request::Pause { job }),
+        arb_job().prop_map(|job| Request::Resume { job }),
+        arb_job().prop_map(|job| Request::Checkpoint { job }),
+        Just(Request::Drain),
+    ]
+}
+
+fn arb_event() -> impl Strategy<Value = JobEvent> {
+    let outcome = prop_oneof![
+        Just(OutcomeClass::Success),
+        (-300i32..300).prop_map(OutcomeClass::Failure),
+        Just(OutcomeClass::Crash(Signal::Abort)),
+        Just(OutcomeClass::Crash(Signal::Segv)),
+    ];
+    let optional = || proptest::option::of(any::<i64>());
+    let kind = prop_oneof![
+        arb_state().prop_map(JobEventKind::State),
+        arb_text().prop_map(|case| JobEventKind::Started { case }),
+        (arb_text(), arb_text(), optional(), optional())
+            .prop_map(|(case, function, retval, errno)| JobEventKind::Injection { case, function, retval, errno }),
+        (arb_text(), outcome, 0usize..100).prop_map(|(case, outcome, injections)| JobEventKind::Finished {
+            case,
+            outcome,
+            injections
+        }),
+        arb_text().prop_map(|case| JobEventKind::Skipped { case }),
+        (0usize..100).prop_map(|cells| JobEventKind::Requeued { cells }),
+    ];
+    (any::<u64>(), kind).prop_map(|(seq, kind)| JobEvent { seq, kind })
+}
+
+fn arb_snapshot() -> impl Strategy<Value = JobSnapshot> {
+    let count = || 0usize..1_000;
+    let progress =
+        (count(), count(), count(), count(), count()).prop_map(|(started, finished, skipped, crashes, injections)| {
+            ProgressSnapshot { started, finished, skipped, crashes, injections }
+        });
+    ((arb_job(), arb_text(), arb_text(), arb_state()), (count(), count(), count()), progress, any::<u64>(), count())
+        .prop_map(|((id, name, workload, state), (cases, pending, outstanding), progress, requeued, clusters)| {
+            JobSnapshot { id, name, workload, state, cases, pending, outstanding, progress, requeued, clusters }
+        })
+}
+
+fn arb_response() -> impl Strategy<Value = Response> {
+    prop_oneof![
+        Just(Response::Pong),
+        proptest::collection::vec((arb_job(), arb_text(), arb_state()), 0..4).prop_map(|jobs| Response::Jobs { jobs }),
+        arb_job().prop_map(|job| Response::Submitted { job }),
+        arb_snapshot().prop_map(|snapshot| Response::Status { snapshot }),
+        (arb_job(), any::<u64>(), proptest::collection::vec(arb_event(), 0..6))
+            .prop_map(|(job, next, events)| Response::Events { job, next, events }),
+        (arb_job(), arb_state()).prop_map(|(job, state)| Response::StateChanged { job, state }),
+        (arb_job(), arb_text()).prop_map(|(job, store_xml)| Response::Checkpoint { job, store_xml }),
+        Just(Response::Draining),
+        arb_text().prop_map(|message| Response::Error { message }),
+    ]
+}
+
+/// Parses `line` both ways; a failure must be a typed `Malformed` error.
+fn parses_or_is_malformed(line: &str) {
+    for error in [Request::parse(line).err(), Response::parse(line).err()].into_iter().flatten() {
+        assert!(matches!(error, WireError::Malformed { .. }), "{line:?}: {error:?}");
+    }
+}
+
+/// Checks every prefix of a valid line, and the line with the byte at `at`
+/// XOR-ed by `mask`: each parses or fails as `Malformed`.
+fn survives_damage(line: &str, at: prop::sample::Index, mask: u8) {
+    assert!(!line.contains('\n'), "{line:?}");
+    let bytes = line.as_bytes();
+    for cut in 0..bytes.len() {
+        parses_or_is_malformed(&String::from_utf8_lossy(&bytes[..cut]));
+    }
+    let mut flipped = bytes.to_vec();
+    flipped[at.index(bytes.len())] ^= mask;
+    parses_or_is_malformed(&String::from_utf8_lossy(&flipped));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary lines never panic either parser.
+    #[test]
+    fn wire_parsers_never_panic_on_arbitrary_lines(line in arb_line()) {
+        parses_or_is_malformed(&line);
+    }
+
+    /// Every request variant round-trips, and damaged encodings never panic.
+    #[test]
+    fn requests_round_trip_and_survive_damage(request in arb_request(), at in any::<prop::sample::Index>(), mask in 1u8..=255) {
+        let line = request.encode();
+        prop_assert_eq!(Request::parse(&line).unwrap(), request);
+        survives_damage(&line, at, mask);
+    }
+
+    /// Every response variant round-trips, and damaged encodings never panic.
+    #[test]
+    fn responses_round_trip_and_survive_damage(response in arb_response(), at in any::<prop::sample::Index>(), mask in 1u8..=255) {
+        let line = response.encode();
+        prop_assert_eq!(Response::parse(&line).unwrap(), response);
+        survives_damage(&line, at, mask);
+    }
 }

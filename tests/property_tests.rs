@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use lfi::asm::{FaultSpec, FunctionSpec, LibraryCompiler, LibrarySpec};
 use lfi::disasm::{Cfg, Disassembler};
 use lfi::isa::encode::{decode_function, encode_function};
-use lfi::isa::vm::{ConstEnv, Vm, VmOptions};
-use lfi::isa::{BinAluOp, Cond, Inst, IsaError, Loc, Operand, Platform, Reg};
+use lfi::isa::vm::{ConstEnv, Vm};
+use lfi::isa::{BinAluOp, Cond, Inst, Loc, Operand, Platform, Reg};
 use lfi::objfile::{ObjectBuilder, ReturnType, SharedObject, Storage};
 use lfi::profile::{ErrorReturn, FaultProfile, FunctionProfile, ProfileKey, ProfileStore, SideEffect};
 use lfi::profiler::Profiler;
@@ -151,43 +151,6 @@ proptest! {
         let bytes = encode_function(&body);
         let cut = cut.index(bytes.len() + 1);
         let _ = decode_function(&bytes[..cut]);
-    }
-
-    /// The pre-decoded dispatch loop is outcome-identical to the reference
-    /// interpreter over arbitrary bodies, arguments, call environments and
-    /// step limits: same outcomes (return value, TLS/global write maps,
-    /// store events, step counts) and the same dynamic errors, including
-    /// step-limit exhaustion, indirect jumps out of range and falling off
-    /// the end of the body.
-    #[test]
-    fn decoded_bodies_match_the_reference_interpreter(
-        body in proptest::collection::vec(arb_inst(), 0..40),
-        args in proptest::collection::vec(-8i64..8, 0..4),
-        call_result in -4i64..4,
-        syscall_result in -4i64..4,
-        step_limit in 1u64..1500,
-    ) {
-        let vm = Vm::with_options(Platform::LinuxX86, VmOptions { step_limit });
-        match vm.compile(&body) {
-            Ok(decoded) => {
-                let reference = vm.run(&body, &args, &mut ConstEnv { call_result, syscall_result });
-                let fast = vm.run_decoded(&decoded, &args, &mut ConstEnv { call_result, syscall_result });
-                prop_assert_eq!(reference, fast);
-            }
-            // The one admitted divergence: the decoded compiler rejects
-            // out-of-range *static* jump targets eagerly, where the reference
-            // errors only if the jump is reached.  When it does, the rejected
-            // target must actually exist in the body and be out of range.
-            Err(IsaError::JumpOutOfRange { target, len }) => {
-                prop_assert_eq!(len, body.len());
-                prop_assert!(target >= len as i64);
-                prop_assert!(body.iter().any(|inst| matches!(
-                    *inst,
-                    Inst::Jmp { target: t } | Inst::JmpCond { target: t, .. } if i64::from(t) == target
-                )));
-            }
-            Err(other) => prop_assert!(false, "unexpected compile error: {:?}", other),
-        }
     }
 
     /// Object files survive a serialize/parse round trip.
