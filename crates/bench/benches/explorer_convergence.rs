@@ -106,8 +106,8 @@ fn bench_explorer_convergence(c: &mut Criterion) {
     let store = killed.store();
     group.bench_function("store-roundtrip", |b| {
         b.iter(|| {
-            let xml = store.to_xml();
-            black_box(lfi_explore::ExplorationStore::from_xml(&xml).unwrap())
+            let bytes = lfi_store::encode_exploration_store(&store);
+            black_box(lfi_store::decode_exploration_store(&bytes).unwrap())
         })
     });
 

@@ -1,18 +1,15 @@
-//! Persistence at survey scale: the binary store format against the XML
-//! interchange baseline over a 10,000-function corpus
-//! (`SurveyConfig::scaled(10_000)` through the fast profile generator).
+//! Persistence at survey scale: the `lfi-store` snapshot and journal over
+//! a 10,000-function corpus (`SurveyConfig::scaled(10_000)` through the
+//! fast profile generator).
 //!
 //! * `snapshot_write` — full binary exploration snapshot to disk;
-//! * `binary_load`    — format-sniffing load of that snapshot;
-//! * `xml_write`      — the same store serialized as XML (baseline);
-//! * `xml_load`       — format-sniffing load of the XML file (baseline);
+//! * `binary_load`    — load of that snapshot;
 //! * `delta_append`   — one O(delta) journal append (a 32-cell batch);
 //! * `fold_delta`     — the typed append: frame write + in-memory fold;
 //! * `compact`        — rewriting the journal as one fresh snapshot.
 //!
-//! CI gates the two tentpole ratios: `binary_load * 5 <= xml_load` (binary
-//! decode beats XML parse by 5x) and `delta_append * 10 <= snapshot_write`
-//! (incremental checkpoints are at least 10x cheaper than full snapshots).
+//! CI gates `delta_append * 10 <= snapshot_write` (incremental checkpoints
+//! are at least 10x cheaper than full snapshots).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lfi_corpus::{survey_profiles, SurveyConfig};
@@ -111,9 +108,7 @@ fn bench_store_scale(c: &mut Criterion) {
     let delta = one_batch_delta(&store);
 
     let binary_path = dir.join("survey.lfis");
-    let xml_path = dir.join("survey.xml");
     save_exploration(&binary_path, &store).unwrap();
-    std::fs::write(&xml_path, store.to_xml()).unwrap();
 
     let mut group = c.benchmark_group("store_scale");
     group.sample_size(10);
@@ -129,22 +124,6 @@ fn bench_store_scale(c: &mut Criterion) {
     group.bench_function("binary_load", |b| {
         b.iter(|| {
             let loaded = load_exploration(black_box(&binary_path)).unwrap();
-            assert_eq!(loaded.universe, store.universe);
-            black_box(loaded)
-        })
-    });
-
-    group.bench_function("xml_write", |b| {
-        let path = dir.join("write.xml");
-        b.iter(|| {
-            std::fs::write(&path, black_box(&store).to_xml()).unwrap();
-            black_box(())
-        })
-    });
-
-    group.bench_function("xml_load", |b| {
-        b.iter(|| {
-            let loaded = load_exploration(black_box(&xml_path)).unwrap();
             assert_eq!(loaded.universe, store.universe);
             black_box(loaded)
         })

@@ -153,14 +153,15 @@ impl Lfi {
         &self.profiler
     }
 
-    /// The store of previously generated profiles — export it with
-    /// [`ProfileStore::to_xml`] to persist profiling work across runs.
+    /// The store of previously generated profiles.  Persist it across runs
+    /// with [`Lfi::save_profile_store`], or hand it to another facade with
+    /// `clone()` and [`Lfi::load_profile_store`].
     pub fn profile_store(&self) -> &ProfileStore {
         &self.store
     }
 
-    /// Replaces the profile store, e.g. with one restored through
-    /// [`ProfileStore::from_xml`].  Entries only replay when their key —
+    /// Replaces the profile store, e.g. with another facade's
+    /// [`Lfi::profile_store`] clone.  Entries only replay when their key —
     /// library name, platform, and a hash folding *every* registered
     /// library's content fingerprint with the profiler options and kernel
     /// image — matches the current configuration, so loading a stale store
@@ -170,9 +171,8 @@ impl Lfi {
     }
 
     /// Saves the profile store to `path` in the `lfi-store` binary snapshot
-    /// format (magic + version + CRC-checked record).  XML via
-    /// [`ProfileStore::to_xml`] remains the human-readable interchange
-    /// format; the binary file is the fast path for large stores.
+    /// format (magic + version + CRC-checked record) — the one on-disk form
+    /// of a profile store; [`Lfi::load_profile_store_file`] reads it back.
     ///
     /// # Errors
     ///
@@ -181,29 +181,30 @@ impl Lfi {
         lfi_store::save_profile_store(path, &self.store)
     }
 
-    /// Loads and installs a profile store from `path`, sniffing the on-disk
-    /// format by magic — binary snapshots decode through the checked codec,
-    /// anything else parses as the XML interchange format.  The same
-    /// staleness contract as [`Lfi::load_profile_store`] applies.
+    /// Loads and installs a profile store from a binary snapshot file
+    /// written by [`Lfi::save_profile_store`].  The same staleness contract
+    /// as [`Lfi::load_profile_store`] applies.
     ///
     /// # Errors
     ///
-    /// [`lfi_store::StoreError`] naming the path, byte offset and detected
-    /// format; truncated or hostile input never panics.
+    /// [`lfi_store::StoreError`] naming the path and byte offset; a file
+    /// without the `LFIS` header is corrupt at offset 0, and truncated or
+    /// hostile input never panics.
     pub fn load_profile_store_file(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), lfi_store::StoreError> {
         self.store = lfi_store::load_profile_store(path)?;
         Ok(())
     }
 
-    /// Loads an [`ExplorationStore`] checkpoint from `path`, sniffing the
-    /// format by magic: a binary snapshot, a recovered exploration journal
-    /// (snapshot plus durable deltas), or the XML interchange format.
-    /// Pair with [`Lfi::resume_exploration`] to continue the run.
+    /// Loads an [`ExplorationStore`] checkpoint from `path`: a binary
+    /// snapshot, or an exploration journal recovered to its last durable
+    /// record (snapshot plus deltas).  Pair with
+    /// [`Lfi::resume_exploration`] to continue the run.
     ///
     /// # Errors
     ///
-    /// [`lfi_store::StoreError`] naming the path, byte offset and detected
-    /// format; truncated or hostile input never panics.
+    /// [`lfi_store::StoreError`] naming the path and byte offset; a file
+    /// without the `LFIS` header is corrupt at offset 0, and truncated or
+    /// hostile input never panics.
     pub fn load_exploration(
         &self,
         path: impl AsRef<std::path::Path>,
@@ -515,11 +516,10 @@ mod tests {
         assert_eq!(all.len(), 1);
         assert!(all[0].stats.served_from_store);
 
-        // The XML round-trip reloads into a store the facade accepts.
-        let exported = lfi.profile_store().to_xml();
+        // A cloned store hands off into a facade that accepts it.
         let mut restored = Lfi::new();
         restored.add_library(demo());
-        restored.load_profile_store(lfi_profile::ProfileStore::from_xml(&exported).unwrap());
+        restored.load_profile_store(lfi.profile_store().clone());
         let replayed = restored.profile("libdemo.so").unwrap();
         assert!(replayed.stats.served_from_store);
         assert_eq!(replayed.profile, cold.profile);
@@ -547,14 +547,14 @@ mod tests {
     }
 
     #[test]
-    fn profile_store_files_round_trip_in_both_formats() {
+    fn profile_store_files_round_trip_and_reject_foreign_bytes() {
         let dir = std::env::temp_dir().join(format!("lfi-facade-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let mut lfi = Lfi::new();
         lfi.add_library(demo());
         let cold = lfi.profile("libdemo.so").unwrap();
 
-        // Binary save → sniffing load replays warm, byte for byte.
+        // Binary save → load replays warm, byte for byte.
         let binary = dir.join("profiles.lfis");
         lfi.save_profile_store(&binary).unwrap();
         let mut restored = Lfi::new();
@@ -564,13 +564,17 @@ mod tests {
         assert!(replayed.stats.served_from_store);
         assert_eq!(replayed.profile, cold.profile);
 
-        // The same sniffing loader takes the XML interchange form.
-        let xml = dir.join("profiles.xml");
-        std::fs::write(&xml, lfi.profile_store().to_xml()).unwrap();
-        let mut from_xml = Lfi::new();
-        from_xml.add_library(demo());
-        from_xml.load_profile_store_file(&xml).unwrap();
-        assert!(from_xml.profile("libdemo.so").unwrap().stats.served_from_store);
+        // A file without the LFIS header is corrupt at offset 0, whatever
+        // it holds.
+        let foreign = dir.join("profiles.xml");
+        std::fs::write(&foreign, "<?xml version=\"1.0\"?>\n<profile library=\"libdemo.so\" />\n").unwrap();
+        let error = restored.load_profile_store_file(&foreign).unwrap_err();
+        assert!(matches!(error.kind, lfi_store::StoreErrorKind::Corrupt { .. }), "{error}");
+        assert_eq!(error.offset, Some(0));
+        assert!(error.to_string().contains("profiles.xml"), "error names the path: {error}");
+        let error = lfi.load_exploration(&foreign).unwrap_err();
+        assert!(matches!(error.kind, lfi_store::StoreErrorKind::Corrupt { .. }), "{error}");
+        assert_eq!(error.offset, Some(0));
 
         // Hostile input is a typed error naming the path, never a panic.
         let truncated = dir.join("truncated.lfis");
@@ -581,13 +585,7 @@ mod tests {
 
         // Exploration checkpoints share the facade's save/load pair.
         let checkpoint = dir.join("exploration.lfis");
-        let store = lfi_explore::ExplorationStore::from_xml(
-            "<exploration-store seed=\"7\" batch-size=\"4\" parallelism=\"1\" halt-on-crash=\"false\" \
-             universe=\"0\" batch-index=\"0\" rng-draws=\"0\" probe-done=\"false\" crash-found=\"false\" \
-             cases-executed=\"0\" injections-performed=\"0\" elapsed-ms=\"0\"><budget /><frontier />\
-             <executed /><unreached /><pruned /><coverage /><clusters /></exploration-store>",
-        )
-        .unwrap();
+        let store = lfi.explore(&Exhaustive, &["libdemo.so"]).unwrap().seed(7).batch_size(4).store();
         lfi.save_exploration(&checkpoint, &store).unwrap();
         assert_eq!(lfi.load_exploration(&checkpoint).unwrap(), store);
 
@@ -630,12 +628,10 @@ mod tests {
             .unwrap()
             .error_values()
             .contains(&-1));
-        let xml = first.profile_store().to_xml();
-
         let mut second = Lfi::new();
         second.add_library(app());
         second.add_library(inner(-7));
-        second.load_profile_store(lfi_profile::ProfileStore::from_xml(&xml).unwrap());
+        second.load_profile_store(first.profile_store().clone());
         let report = second.profile("libapp.so").unwrap();
         assert!(!report.stats.served_from_store);
         let entry = report.profile.function("entry").unwrap();
@@ -690,7 +686,7 @@ mod tests {
         // Drive one batch, snapshot, resume through the facade, finish.
         let first = explorer.step_workload(&workload).unwrap();
         assert_eq!(first.outcomes.len(), 1, "the probe batch");
-        let store = lfi_explore::ExplorationStore::from_xml(&explorer.store().to_xml()).unwrap();
+        let store = explorer.store();
         let mut resumed = lfi.resume_exploration(&store, &["libdemo.so"]).unwrap();
         let report = resumed.run_workload(&workload);
         assert!(resumed.finished());

@@ -71,7 +71,8 @@ impl fmt::Display for OutcomeClass {
 }
 
 impl OutcomeClass {
-    /// Parses the [`fmt::Display`] form back (used by the XML store).
+    /// Parses the [`fmt::Display`] form back (used by `lfi-store`'s codec
+    /// and the fabric wire protocol).
     pub fn parse(text: &str) -> Option<Self> {
         match text {
             "success" => Some(OutcomeClass::Success),
@@ -368,10 +369,10 @@ impl Explorer {
         }
     }
 
-    /// Snapshots the complete exploration state.  Serialize it with
-    /// [`ExplorationStore::to_xml`] next to the profile store; a later
-    /// process restores with [`ExplorationStore::from_xml`] +
-    /// [`Explorer::resume`].
+    /// Snapshots the complete exploration state.  Persist it with
+    /// `lfi-store` (a snapshot file, or an exploration journal fed by
+    /// [`Explorer::take_delta`]); a later process loads it back and
+    /// continues with [`Explorer::resume`].
     pub fn store(&self) -> ExplorationStore {
         let by_name = |a: &FaultCell, b: &FaultCell| a.sort_key().cmp(&b.sort_key());
         let mut executed: Vec<FaultCell> = self.executed.iter().copied().collect();
@@ -1247,14 +1248,14 @@ mod tests {
             full_reports.push(report);
         }
 
-        // Killed run: two steps, then snapshot through the XML round trip.
+        // Killed run: two steps, then snapshot and drop the explorer.
         let mut killed = explorer();
         let mut killed_reports = Vec::new();
         for _ in 0..2 {
             killed_reports.push(killed.step(setup, workload).unwrap());
         }
-        let xml = killed.store().to_xml();
-        let store = crate::ExplorationStore::from_xml(&xml).unwrap();
+        let store = killed.store();
+        drop(killed);
         let mut resumed = Explorer::resume(profiles(), &store);
         while let Some(report) = resumed.step(setup, workload) {
             killed_reports.push(report);
@@ -1286,7 +1287,7 @@ mod tests {
             delta.apply(&mut again);
             assert_eq!(again, shadow);
         }
-        assert_eq!(shadow.to_xml(), live.store().to_xml(), "byte-identical through serialization");
+        assert_eq!(shadow, live.store(), "the folded deltas equal the final snapshot");
         assert!(live.take_delta().is_empty(), "taking a delta drains the tracker");
 
         // External control mutations are tracked too.

@@ -42,9 +42,10 @@
 //! * **Budgets** — a global case/injection/time budget bounds the whole
 //!   exploration.
 //! * **Resumability** — the complete exploration state (frontier, coverage,
-//!   cluster table, RNG stream position) round-trips through an XML
-//!   [`ExplorationStore`], so a killed exploration resumes deterministically
-//!   — see the determinism contract on [`Explorer`].
+//!   cluster table, RNG stream position) is one [`ExplorationStore`], which
+//!   `lfi-store` snapshots and journals losslessly, so a killed exploration
+//!   resumes deterministically — see the determinism contract on
+//!   [`Explorer`].
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -17,7 +17,7 @@ use lfi_scenario::Plan;
 use lfi_store::{AckOutcome, AckRecord, Journal, Record, StoreError};
 
 use crate::job::{JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
-use crate::scheduler::{case_name, CellOutcome, LeaseAssignment, LeaseResult, Scheduler};
+use crate::scheduler::{case_name, LeaseAssignment, LeaseResult, Scheduler};
 
 /// Default number of cells per lease.
 pub const DEFAULT_LEASE_BATCH: usize = 8;
@@ -105,52 +105,6 @@ impl FabricInner {
 struct JobJournal {
     journal: Journal,
     error: Option<StoreError>,
-}
-
-/// The journaled twin of a worker's [`LeaseResult`]: the per-cell outcomes
-/// and the skipped cells, without the transient event stream (the event
-/// ring is runtime observability, not durable state).
-fn result_to_ack(result: &LeaseResult) -> AckRecord {
-    AckRecord {
-        outcomes: result
-            .outcomes
-            .iter()
-            .map(|(cell, outcome)| AckOutcome {
-                cell: *cell,
-                outcome: outcome.outcome,
-                injections: outcome.injections as u64,
-                triggered: outcome.triggered,
-                stack: outcome.stack.clone(),
-                case: outcome.case.clone(),
-            })
-            .collect(),
-        skipped: result.skipped.clone(),
-    }
-}
-
-/// The inverse of [`result_to_ack`], for recovery replay.  Events are
-/// empty by design: replay reconstructs durable state, not the ring.
-fn ack_to_result(ack: AckRecord) -> LeaseResult {
-    LeaseResult {
-        events: Vec::new(),
-        outcomes: ack
-            .outcomes
-            .into_iter()
-            .map(|outcome| {
-                (
-                    outcome.cell,
-                    CellOutcome {
-                        outcome: outcome.outcome,
-                        injections: outcome.injections as usize,
-                        triggered: outcome.triggered,
-                        stack: outcome.stack,
-                        case: outcome.case,
-                    },
-                )
-            })
-            .collect(),
-        skipped: ack.skipped,
-    }
 }
 
 /// Appends one ack to `job`'s journal, if it has one, compacting back to a
@@ -501,7 +455,7 @@ impl FabricHandle {
         let mut sched = lock(&self.inner.sched);
         let job = sched.submit_restored(spec, workload, &snapshot);
         for ack in acks {
-            sched.replay_ack(job, ack_to_result(ack));
+            sched.replay_ack(job, ack);
         }
         lock(&self.inner.journals).insert(job.0, JobJournal { journal, error: None });
         drop(sched);
@@ -637,10 +591,10 @@ fn worker_loop(inner: &FabricInner) {
             let mut sched = lock(&inner.sched);
             match result {
                 Ok(result) => {
-                    // Convert before acking (the ack consumes the result),
-                    // but only journal what the scheduler actually counted:
-                    // a stale ack must not reach the journal either.
-                    let ack = lock(&inner.journals).contains_key(&job.0).then(|| result_to_ack(&result));
+                    // Copy the ack before acking (the ack consumes the
+                    // result), but only journal what the scheduler actually
+                    // counted: a stale ack must not reach the journal either.
+                    let ack = lock(&inner.journals).contains_key(&job.0).then(|| result.ack.clone());
                     if sched.ack(job, lease, result) {
                         if let Some(ack) = ack {
                             journal_append(inner, &sched, job, ack);
@@ -700,20 +654,18 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
                 result
                     .events
                     .push(JobEventKind::Finished { case: outcome.name.clone(), outcome: class, injections });
-                result.outcomes.push((
-                    cells[index],
-                    CellOutcome {
-                        outcome: class,
-                        injections,
-                        triggered: injections > 0,
-                        stack: stack.cloned().unwrap_or_default(),
-                        case: outcome.name,
-                    },
-                ));
+                result.ack.outcomes.push(AckOutcome {
+                    cell: cells[index],
+                    outcome: class,
+                    injections: injections as u64,
+                    triggered: injections > 0,
+                    stack: stack.cloned().unwrap_or_default(),
+                    case: outcome.name,
+                });
             }
             CaseEvent::Skipped { index, name, .. } => {
                 result.events.push(JobEventKind::Skipped { case: name });
-                result.skipped.push(cells[index]);
+                result.ack.skipped.push(cells[index]);
             }
         }
     }

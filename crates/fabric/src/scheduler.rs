@@ -17,6 +17,7 @@ use lfi_controller::{CancelHandle, ProgressSnapshot, Workload};
 use lfi_explore::{CrashCluster, ExplorationStore, FrontierCell, FunctionCoverage, OutcomeClass};
 use lfi_intern::Symbol;
 use lfi_scenario::FaultCell;
+use lfi_store::{AckOutcome, AckRecord};
 
 use crate::job::{JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
 
@@ -47,22 +48,12 @@ pub(crate) struct LeaseAssignment {
     pub halt_on_crash: bool,
 }
 
-/// What one executed (or partially executed) cell came back with.
-#[derive(Debug, Clone)]
-pub(crate) struct CellOutcome {
-    pub outcome: OutcomeClass,
-    pub injections: usize,
-    pub triggered: bool,
-    pub stack: Vec<Symbol>,
-    pub case: String,
-}
-
-/// Everything a worker reports when acking a lease.
+/// Everything a worker reports when acking a lease: the transient event
+/// stream and the durable ack, which is journaled as is.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LeaseResult {
     pub events: Vec<JobEventKind>,
-    pub outcomes: Vec<(FaultCell, CellOutcome)>,
-    pub skipped: Vec<FaultCell>,
+    pub ack: AckRecord,
 }
 
 /// A lease that has been issued but not acked.
@@ -138,7 +129,7 @@ struct JobRecord {
     cases_total: usize,
     frontier: VecDeque<FaultCell>,
     outstanding: HashMap<u64, OutstandingLease>,
-    done: HashMap<FaultCell, CellOutcome>,
+    done: HashMap<FaultCell, AckOutcome>,
     skipped: HashSet<FaultCell>,
     base: Option<RestoredBase>,
     /// Cells leased cumulatively (re-issues count) — the `started` counter.
@@ -219,7 +210,7 @@ impl JobRecord {
     }
 
     fn injections(&self) -> u64 {
-        let new: u64 = self.done.values().map(|o| o.injections as u64).sum();
+        let new: u64 = self.done.values().map(|o| o.injections).sum();
         new + self.base.as_ref().map_or(0, |b| b.injections)
     }
 
@@ -434,30 +425,28 @@ impl Scheduler {
             record.events.push(kind);
         }
         let mut crash_halt = false;
-        for (cell, outcome) in result.outcomes {
+        for outcome in result.ack.outcomes {
             crash_halt |= record.spec.halt_on_crash && outcome.outcome.is_crash();
-            if !record.already_executed(&cell) {
-                record.done.insert(cell, outcome);
+            if !record.already_executed(&outcome.cell) {
+                record.done.insert(outcome.cell, outcome);
             }
         }
+        let skipped = result.ack.skipped;
         if record.state == JobState::Cancelled || record.state == JobState::Failed {
-            for cell in result.skipped {
-                record.skipped.insert(cell);
-            }
+            record.skipped.extend(skipped);
         } else if crash_halt {
-            for cell in result.skipped {
-                record.skipped.insert(cell);
-            }
+            record.skipped.extend(skipped);
             record.skip_frontier();
             record.set_state(JobState::Done);
         } else {
-            record.requeue_cells(result.skipped.into_iter().filter(|c| !record.done.contains_key(c)).collect());
+            record.requeue_cells(skipped.into_iter().filter(|c| !record.done.contains_key(c)).collect());
         }
         record.maybe_complete();
         true
     }
 
-    /// Replays a journaled lease acknowledgement during recovery:
+    /// Replays a journaled lease acknowledgement during recovery (with no
+    /// events: replay rebuilds durable state, not the event ring):
     /// synthesizes the outstanding lease the journal entry implies (its
     /// cells leave the frontier exactly as the live issue removed them) and
     /// folds the result through [`Scheduler::ack`] — the same body, so a
@@ -465,15 +454,15 @@ impl Scheduler {
     /// Replaying acks in journal order reproduces the live frontier even
     /// when concurrent workers acked out of issue order, because requeues
     /// always go to the *front* in ack order.
-    pub fn replay_ack(&mut self, job: JobId, result: LeaseResult) -> bool {
+    pub fn replay_ack(&mut self, job: JobId, ack: AckRecord) -> bool {
         let lease = self.next_lease;
         self.next_lease += 1;
         let Some(record) = self.jobs.get_mut(&job.0) else {
             return false;
         };
-        let mut leased: Vec<FaultCell> = Vec::with_capacity(result.outcomes.len() + result.skipped.len());
-        leased.extend(result.outcomes.iter().map(|(cell, _)| *cell));
-        leased.extend(result.skipped.iter().copied());
+        let mut leased: Vec<FaultCell> = Vec::with_capacity(ack.outcomes.len() + ack.skipped.len());
+        leased.extend(ack.outcomes.iter().map(|outcome| outcome.cell));
+        leased.extend(ack.skipped.iter().copied());
         for cell in &leased {
             if let Some(position) = record.frontier.iter().position(|c| c == cell) {
                 record.frontier.remove(position);
@@ -487,7 +476,7 @@ impl Scheduler {
         record
             .outstanding
             .insert(lease, OutstandingLease { cells: leased, deadline: Instant::now(), cancel: None });
-        self.ack(job, lease, result)
+        self.ack(job, lease, LeaseResult { events: Vec::new(), ack })
     }
 
     /// A worker died (panicked) holding a lease: every cell of the lease
@@ -744,25 +733,22 @@ mod tests {
     }
 
     fn success_result(cells: &[FaultCell]) -> LeaseResult {
-        LeaseResult {
-            events: Vec::new(),
-            outcomes: cells
-                .iter()
-                .map(|cell| {
-                    (
-                        *cell,
-                        CellOutcome {
-                            outcome: OutcomeClass::Success,
-                            injections: 1,
-                            triggered: true,
-                            stack: Vec::new(),
-                            case: case_name(cell),
-                        },
-                    )
-                })
-                .collect(),
-            skipped: Vec::new(),
-        }
+        let outcomes = cells
+            .iter()
+            .map(|cell| AckOutcome {
+                cell: *cell,
+                outcome: OutcomeClass::Success,
+                injections: 1,
+                triggered: true,
+                stack: Vec::new(),
+                case: case_name(cell),
+            })
+            .collect();
+        LeaseResult { events: Vec::new(), ack: AckRecord { outcomes, skipped: Vec::new() } }
+    }
+
+    fn skipped_result(cells: &[FaultCell]) -> LeaseResult {
+        LeaseResult { events: Vec::new(), ack: AckRecord { outcomes: Vec::new(), skipped: cells.to_vec() } }
     }
 
     #[test]
@@ -858,8 +844,7 @@ mod tests {
         assert_eq!(sched.cancel(job), Some(JobState::Cancelled), "double cancel is a no-op");
         assert!(sched.next_lease(now).is_none(), "cancelled job issues no leases");
         // The in-flight lease comes back with its cells skipped mid-run.
-        let result = LeaseResult { skipped: lease.cells.clone(), ..LeaseResult::default() };
-        assert!(sched.ack(job, lease.lease, result));
+        assert!(sched.ack(job, lease.lease, skipped_result(&lease.cells)));
         let snapshot = sched.snapshot(job).unwrap();
         assert_eq!(snapshot.progress.skipped, 6);
         assert_eq!(snapshot.pending + snapshot.outstanding, 0);
@@ -886,8 +871,8 @@ mod tests {
             sched.submit(JobSpec::new("job", "noop", plan_with_cells("read", 1..=6)).halt_on_crash(), noop_workload());
         let lease = sched.next_lease(now).unwrap();
         let mut result = success_result(&lease.cells[..1]);
-        result.outcomes[0].1.outcome = OutcomeClass::Crash(lfi_runtime::Signal::Segv);
-        result.skipped = lease.cells[1..].to_vec();
+        result.ack.outcomes[0].outcome = OutcomeClass::Crash(lfi_runtime::Signal::Segv);
+        result.ack.skipped = lease.cells[1..].to_vec();
         assert!(sched.ack(job, lease.lease, result));
         let snapshot = sched.snapshot(job).unwrap();
         assert_eq!(snapshot.state, JobState::Done);
@@ -910,8 +895,7 @@ mod tests {
         assert_eq!(store.cases_executed, 4);
         assert_eq!(store.frontier.len(), 8, "pending plus outstanding cells");
         assert_eq!(store.universe, 12);
-        let xml = store.to_xml();
-        let reloaded = ExplorationStore::from_xml(&xml).unwrap();
+        let reloaded = lfi_store::decode_exploration_store(&lfi_store::encode_exploration_store(&store)).unwrap();
         assert_eq!(reloaded, store);
         drop(second);
 
@@ -946,7 +930,7 @@ mod tests {
         let initial = sched.checkpoint(job).unwrap();
         let first = sched.next_lease(now).unwrap();
         let second = sched.next_lease(now).unwrap();
-        let skip_second = LeaseResult { skipped: second.cells.clone(), ..LeaseResult::default() };
+        let skip_second = skipped_result(&second.cells);
         assert!(sched.ack(job, second.lease, skip_second.clone()));
         assert!(sched.ack(job, first.lease, success_result(&first.cells)));
         let live = sched.checkpoint(job).unwrap();
@@ -955,11 +939,11 @@ mod tests {
         // two acks in the order they were journaled.
         let mut replayed = Scheduler::new(4, Duration::from_secs(60));
         let job2 = replayed.submit_restored(spec, noop_workload(), &initial);
-        assert!(replayed.replay_ack(job2, skip_second));
-        assert!(replayed.replay_ack(job2, success_result(&first.cells)));
+        assert!(replayed.replay_ack(job2, skip_second.ack));
+        assert!(replayed.replay_ack(job2, success_result(&first.cells).ack));
         assert_eq!(replayed.checkpoint(job2).unwrap(), live, "replay reproduces frontier order and done set");
         assert_eq!(replayed.snapshot(job2).unwrap().progress.finished, 4);
-        assert!(!replayed.replay_ack(JobId(99), LeaseResult::default()), "unknown job replays nothing");
+        assert!(!replayed.replay_ack(JobId(99), AckRecord::default()), "unknown job replays nothing");
     }
 
     #[test]

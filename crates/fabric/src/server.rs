@@ -56,7 +56,7 @@ impl FabricHandle {
                 None => Response::Error { message: format!("no job with id {job}") },
             },
             Request::Checkpoint { job } => match self.checkpoint(job) {
-                Some(store) => Response::Checkpoint { job, store_xml: store.to_xml() },
+                Some(store) => Response::Checkpoint { job, store: lfi_store::encode_exploration_store(&store) },
                 None => Response::Error { message: format!("no job with id {job}") },
             },
             Request::Drain => {
@@ -658,12 +658,12 @@ impl FabricClient {
     ///
     /// # Errors
     ///
-    /// [`WireError`] on transport failure, an unknown job, or a store
-    /// document that does not parse.
+    /// [`WireError`] on transport failure, an unknown job, or store bytes
+    /// that `lfi-store`'s codec rejects.
     pub fn checkpoint(&mut self, job: JobId) -> Result<ExplorationStore, WireError> {
         match self.request(&Request::Checkpoint { job })? {
-            Response::Checkpoint { store_xml, .. } => ExplorationStore::from_xml(&store_xml)
-                .map_err(|error| WireError::malformed(format!("checkpoint is not store XML: {error}"))),
+            Response::Checkpoint { store, .. } => lfi_store::decode_exploration_store(&store)
+                .map_err(|error| WireError::malformed(format!("checkpoint is not an exploration store: {error}"))),
             other => Self::expect_error(other),
         }
     }

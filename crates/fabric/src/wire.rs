@@ -36,12 +36,18 @@ pub const MAX_LINE_BYTES: usize = 16 << 20;
 /// [`FabricClient`](crate::FabricClient) reads over TCP.
 ///
 /// The largest reply is a `checkpoint`, which carries a job's whole
-/// exploration store, escaped.  A job whose plan fills a
-/// [`MAX_LINE_BYTES`] submit line checkpoints to about 4.6 times that line
-/// (about 73 MiB) once every cell has crashed into a cluster of its own, so
-/// 128 MiB leaves room for deeper crash stacks while bounding what one
-/// server can make a client buffer.  A longer reply is a
-/// [`WireError::Malformed`] and the client closes the connection.
+/// exploration store as hex of its `lfi-store` encoding.  Measured for a
+/// plan that fills a [`MAX_LINE_BYTES`] submit line with one single-fault
+/// entry per function, once every cell has crashed into a cluster of its
+/// own (empty crash stacks): libc-length names of up to 16 bytes give at
+/// most 49 MiB, about 3.0 times the line, and 128-byte names 96 MiB.  The
+/// store writes each function name five times and the plan once, and hex
+/// doubles every byte, so the ratio grows with name length: from names of
+/// about 384 bytes on, such a job's final checkpoint no longer fits, and
+/// the client refuses it (the in-process `FabricHandle::checkpoint` is not
+/// capped).  128 MiB bounds what one server can make a client buffer.  A
+/// longer reply is a [`WireError::Malformed`] and the client closes the
+/// connection.
 pub const MAX_REPLY_BYTES: usize = 128 << 20;
 
 /// A malformed request or response line.
@@ -191,7 +197,8 @@ pub enum Request {
         /// The job to resume.
         job: JobId,
     },
-    /// Fetch a job's crash-safe checkpoint as `ExplorationStore` XML.
+    /// Fetch a job's crash-safe checkpoint: its `ExplorationStore` as an
+    /// `lfi-store` snapshot.
     Checkpoint {
         /// The job to checkpoint.
         job: JobId,
@@ -251,8 +258,9 @@ pub enum Response {
     Checkpoint {
         /// The checkpointed job.
         job: JobId,
-        /// The `ExplorationStore` document.
-        store_xml: String,
+        /// The job's `ExplorationStore`, as `lfi_store::encode_exploration_store`
+        /// bytes.  On the wire it is lowercase hex.
+        store: Vec<u8>,
     },
     /// Reply to [`Request::Drain`].
     Draining,
@@ -261,6 +269,32 @@ pub enum Response {
         /// Why.
         message: String,
     },
+}
+
+/// Lowercase hex of `bytes`: how a binary payload travels in one field.
+fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for byte in bytes {
+        out.push(DIGITS[usize::from(byte >> 4)] as char);
+        out.push(DIGITS[usize::from(byte & 0xF)] as char);
+    }
+    out
+}
+
+/// Reverses [`hex`]: odd-length or non-hex text is [`WireError::Malformed`].
+fn unhex(text: &str) -> Result<Vec<u8>, WireError> {
+    if !text.len().is_multiple_of(2) {
+        return Err(WireError::malformed(format!("hex field of odd length {}", text.len())));
+    }
+    let nibble = |digit: u8| (digit as char).to_digit(16);
+    text.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| match (nibble(pair[0]), nibble(pair[1])) {
+            (Some(high), Some(low)) => Ok((high << 4 | low) as u8),
+            _ => Err(WireError::malformed(format!("non-hex digit in {:?}", String::from_utf8_lossy(pair)))),
+        })
+        .collect()
 }
 
 /// A parsed line's `key=value` fields, in wire order.
@@ -512,7 +546,7 @@ impl Response {
                 format!("events job={job} next={next} list={}", list.join(";"))
             }
             Response::StateChanged { job, state } => format!("state job={job} state={state}"),
-            Response::Checkpoint { job, store_xml } => format!("checkpoint job={job} store={}", escape(store_xml)),
+            Response::Checkpoint { job, store } => format!("checkpoint job={job} store={}", hex(store)),
             Response::Draining => "draining".into(),
             Response::Error { message } => format!("error message={}", escape(message)),
         }
@@ -589,9 +623,7 @@ impl Response {
                 job: job_field(&pairs)?,
                 state: state_field("state", find(&pairs, "state")?)?,
             }),
-            "checkpoint" => {
-                Ok(Response::Checkpoint { job: job_field(&pairs)?, store_xml: unescape(find(&pairs, "store")?)? })
-            }
+            "checkpoint" => Ok(Response::Checkpoint { job: job_field(&pairs)?, store: unhex(find(&pairs, "store")?)? }),
             "draining" => Ok(Response::Draining),
             "error" => Ok(Response::Error { message: unescape(find(&pairs, "message")?)? }),
             _ => Err(WireError::malformed(format!("unknown response verb {verb:?}"))),
@@ -612,6 +644,19 @@ mod tests {
         }
         assert!(unescape("%zz").is_err());
         assert!(unescape("%4").is_err());
+    }
+
+    #[test]
+    fn hex_round_trips_and_rejects_damage() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let text = hex(&bytes);
+        assert_eq!(text.len(), 512);
+        assert!(text.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)), "{text}");
+        assert_eq!(unhex(&text).unwrap(), bytes);
+        assert_eq!(unhex("").unwrap(), Vec::<u8>::new());
+        for bad in ["0", "abc", "zz", "0g", "+1", "é", "é0"] {
+            assert!(matches!(unhex(bad), Err(WireError::Malformed { .. })), "{bad:?}");
+        }
     }
 
     #[test]

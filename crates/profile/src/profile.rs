@@ -181,12 +181,6 @@ impl FaultProfile {
 
     /// Serializes the profile to the XML dialect of §3.3.
     pub fn to_xml(&self) -> String {
-        self.to_xml_element().to_xml_string()
-    }
-
-    /// Builds the `<profile>` element, for callers that embed profiles in a
-    /// larger document (e.g. [`crate::ProfileStore`]).
-    pub fn to_xml_element(&self) -> XmlElement {
         let mut root = XmlElement::new("profile").attr("library", &self.library);
         if let Some(platform) = &self.platform {
             root = root.attr("platform", platform);
@@ -207,7 +201,7 @@ impl FaultProfile {
             }
             root = root.child(fe);
         }
-        root
+        root.to_xml_string()
     }
 
     /// Parses a profile from its XML form.
@@ -217,16 +211,7 @@ impl FaultProfile {
     /// Returns [`ProfileError`] if the document is not well-formed XML or does
     /// not follow the profile schema.
     pub fn from_xml(text: &str) -> Result<FaultProfile, ProfileError> {
-        Self::from_xml_element(&xml::parse(text)?)
-    }
-
-    /// Parses a profile from an already-parsed `<profile>` element.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProfileError::Schema`] or [`ProfileError::InvalidNumber`] if
-    /// the element does not follow the profile schema.
-    pub fn from_xml_element(root: &XmlElement) -> Result<FaultProfile, ProfileError> {
+        let root = xml::parse(text)?;
         if root.name != "profile" {
             return Err(ProfileError::schema(format!("expected <profile>, found <{}>", root.name)));
         }

@@ -4,8 +4,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use crate::xml::{self, XmlElement};
-use crate::{FaultProfile, ProfileError};
+use crate::FaultProfile;
 
 /// Identity of a stored profile: which library, on which platform, profiled
 /// from which exact binary.
@@ -31,8 +30,8 @@ impl ProfileKey {
     }
 }
 
-/// An in-memory store of [`FaultProfile`]s keyed by [`ProfileKey`], with a
-/// lossless XML round-trip for persistence.
+/// An in-memory store of [`FaultProfile`]s keyed by [`ProfileKey`].
+/// `lfi-store` persists it as a binary snapshot.
 ///
 /// The paper's workflow profiles a system once and then runs many injection
 /// campaigns against the result; `ProfileStore` is the piece that makes
@@ -133,9 +132,8 @@ impl ProfileStore {
     }
 
     /// The stored entries, sorted by key — the deterministic iteration
-    /// every serializer builds on ([`ProfileStore::to_xml`] here,
-    /// `lfi-store`'s binary codec externally).  Profiles are `Arc`s, so
-    /// the snapshot copies handles, not profile bodies.
+    /// `lfi-store`'s binary codec builds on.  Profiles are `Arc`s, so the
+    /// snapshot copies handles, not profile bodies.
     pub fn snapshot(&self) -> Vec<(ProfileKey, Arc<FaultProfile>)> {
         let entries = self.entries.read().unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut sorted: Vec<(ProfileKey, Arc<FaultProfile>)> =
@@ -149,56 +147,6 @@ impl ProfileStore {
         self.entries.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-    }
-
-    /// Serializes the store to XML: a `<profile-store>` document with one
-    /// `<entry>` per profile, sorted by key so output is deterministic.
-    pub fn to_xml(&self) -> String {
-        let entries = self.entries.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut sorted: Vec<(&ProfileKey, &Arc<FaultProfile>)> = entries.iter().collect();
-        sorted.sort_by(|a, b| a.0.cmp(b.0));
-        let mut root = XmlElement::new("profile-store");
-        for (key, profile) in sorted {
-            let mut entry = XmlElement::new("entry").attr("library", &key.library);
-            if let Some(platform) = &key.platform {
-                entry = entry.attr("platform", platform);
-            }
-            entry = entry.attr("code-hash", format!("{:016X}", key.code_hash));
-            root = root.child(entry.child(profile.to_xml_element()));
-        }
-        root.to_xml_string()
-    }
-
-    /// Parses a store from its XML form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProfileError`] if the document is not well-formed XML or
-    /// does not follow the store schema.
-    pub fn from_xml(text: &str) -> Result<ProfileStore, ProfileError> {
-        let root = xml::parse(text)?;
-        if root.name != "profile-store" {
-            return Err(ProfileError::schema(format!("expected <profile-store>, found <{}>", root.name)));
-        }
-        let store = ProfileStore::new();
-        for entry in root.children_named("entry") {
-            let library = entry
-                .attribute("library")
-                .ok_or_else(|| ProfileError::schema("<entry> missing library attribute"))?
-                .to_owned();
-            let platform = entry.attribute("platform").map(str::to_owned);
-            let hash_text = entry
-                .attribute("code-hash")
-                .ok_or_else(|| ProfileError::schema("<entry> missing code-hash attribute"))?;
-            let code_hash = u64::from_str_radix(hash_text, 16)
-                .map_err(|_| ProfileError::InvalidNumber { field: "code-hash".into(), text: hash_text.to_owned() })?;
-            let profile_element = entry
-                .first_child("profile")
-                .ok_or_else(|| ProfileError::schema("<entry> missing <profile> child"))?;
-            let profile = FaultProfile::from_xml_element(profile_element)?;
-            store.insert(ProfileKey { library, platform, code_hash }, profile);
-        }
-        Ok(store)
     }
 }
 
@@ -232,6 +180,8 @@ mod tests {
         assert!(store.get(&key("libc.so.6", 2)).is_none());
         assert_eq!((store.hits(), store.misses()), (1, 2));
         assert_eq!(store.len(), 1);
+        // A clone carries the same entries.
+        assert_eq!(store.clone(), store);
     }
 
     #[test]
@@ -246,41 +196,6 @@ mod tests {
         store.clear();
         assert!(store.is_empty());
         assert_eq!((store.hits(), store.misses()), (0, 0));
-    }
-
-    #[test]
-    fn xml_round_trip_preserves_the_store() {
-        let store = ProfileStore::new();
-        store.insert(key("libc.so.6", 0xDEAD_BEEF), profile("libc.so.6"));
-        store.insert(ProfileKey::new("libx.so", None, 7), FaultProfile::new("libx.so"));
-        let xml = store.to_xml();
-        assert!(xml.contains("<profile-store>"));
-        assert!(xml.contains("code-hash=\"00000000DEADBEEF\""));
-        let parsed = ProfileStore::from_xml(&xml).unwrap();
-        assert_eq!(parsed, store);
-        // And the clone carries the same entries.
-        assert_eq!(store.clone(), store);
-    }
-
-    #[test]
-    fn schema_violations_are_reported() {
-        assert!(matches!(ProfileStore::from_xml("<plan />"), Err(ProfileError::Schema { .. })));
-        assert!(matches!(
-            ProfileStore::from_xml("<profile-store><entry /></profile-store>"),
-            Err(ProfileError::Schema { .. })
-        ));
-        assert!(matches!(
-            ProfileStore::from_xml("<profile-store><entry library=\"l\" /></profile-store>"),
-            Err(ProfileError::Schema { .. })
-        ));
-        assert!(matches!(
-            ProfileStore::from_xml("<profile-store><entry library=\"l\" code-hash=\"zz\" /></profile-store>"),
-            Err(ProfileError::InvalidNumber { .. })
-        ));
-        assert!(matches!(
-            ProfileStore::from_xml("<profile-store><entry library=\"l\" code-hash=\"1\" /></profile-store>"),
-            Err(ProfileError::Schema { .. })
-        ));
     }
 
     #[test]

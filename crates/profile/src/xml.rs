@@ -9,6 +9,18 @@
 use std::error::Error;
 use std::fmt;
 
+/// The deepest element nesting [`parse`] accepts; one level deeper is
+/// [`XmlError::TooDeep`].
+///
+/// The parser recurses once per level, so without a bound a document of a
+/// few hundred thousand nested elements overflows the thread's stack and
+/// aborts the process.  Every document the workspace writes nests at most
+/// four levels (`<plan>`/`<function>`/`<choice>`/`<side-effect>`, and
+/// `<profile>`/`<function>`/`<error-codes>`/`<side-effect>`), so 256 leaves
+/// ample room for hand-written scenarios while keeping the parse well
+/// inside a 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 256;
+
 /// A node in an XML tree: an element or character data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XmlNode {
@@ -168,6 +180,11 @@ pub enum XmlError {
         /// Byte offset of the trailing content.
         offset: usize,
     },
+    /// An element opens deeper than [`MAX_DEPTH`] levels.
+    TooDeep {
+        /// Byte offset of the element that exceeds the bound.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for XmlError {
@@ -181,6 +198,9 @@ impl fmt::Display for XmlError {
             XmlError::UnknownEntity { entity } => write!(f, "unknown entity &{entity};"),
             XmlError::NoRootElement => write!(f, "document has no root element"),
             XmlError::TrailingContent { offset } => write!(f, "content after root element at byte {offset}"),
+            XmlError::TooDeep { offset } => {
+                write!(f, "element at byte {offset} nests deeper than {MAX_DEPTH} levels")
+            }
         }
     }
 }
@@ -285,7 +305,12 @@ impl<'a> Parser<'a> {
         Err(XmlError::UnexpectedEof)
     }
 
-    fn parse_element(&mut self) -> Result<XmlElement, XmlError> {
+    /// Parses the element at the cursor, `depth` levels below the document
+    /// (the root is level 1).
+    fn parse_element(&mut self, depth: usize) -> Result<XmlElement, XmlError> {
+        if depth > MAX_DEPTH {
+            return Err(XmlError::TooDeep { offset: self.pos });
+        }
         if self.peek() != Some(b'<') {
             return Err(XmlError::Syntax { offset: self.pos, expected: "'<'" });
         }
@@ -344,7 +369,7 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<?") {
                 self.consume_until("?>")?;
             } else if self.peek() == Some(b'<') {
-                let child = self.parse_element()?;
+                let child = self.parse_element(depth + 1)?;
                 element.children.push(XmlNode::Element(child));
             } else {
                 let start = self.pos;
@@ -424,7 +449,7 @@ pub fn parse(input: &str) -> Result<XmlElement, XmlError> {
     if parser.peek() != Some(b'<') {
         return Err(XmlError::NoRootElement);
     }
-    let root = parser.parse_element()?;
+    let root = parser.parse_element(1)?;
     parser.skip_misc()?;
     parser.skip_whitespace();
     if parser.pos != parser.bytes.len() {
@@ -529,6 +554,15 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |depth: usize| "<a>".repeat(depth) + &"</a>".repeat(depth);
+        let deepest = parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(deepest.name, "a");
+        // The first element past the bound is named by its byte offset.
+        assert_eq!(parse(&nested(MAX_DEPTH + 1)), Err(XmlError::TooDeep { offset: 3 * MAX_DEPTH }));
+    }
+
+    #[test]
     fn single_quoted_attributes_are_accepted() {
         let root = parse("<t a='hello' />").unwrap();
         assert_eq!(root.attribute("a"), Some("hello"));
@@ -543,6 +577,7 @@ mod tests {
             XmlError::UnknownEntity { entity: "q".into() },
             XmlError::NoRootElement,
             XmlError::TrailingContent { offset: 9 },
+            XmlError::TooDeep { offset: 4 },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -198,7 +198,7 @@ fn get_cells(r: &mut Reader, what: &str) -> Result<Vec<FaultCell>, StoreError> {
 
 fn put_outcome(out: &mut BytesMut, outcome: OutcomeClass) {
     // The Display/parse pair is the stable outcome encoding — shared with
-    // the XML store, so the two formats can never drift apart.
+    // the fabric wire protocol, so the two can never drift apart.
     put_string(out, &outcome.to_string());
 }
 
@@ -567,7 +567,7 @@ pub fn decode_profile_entry(payload: &[u8]) -> Result<ProfileEntry, StoreError> 
 }
 
 /// Encodes a full [`ProfileStore`] snapshot payload (entries in key order,
-/// so output is deterministic — the same order `to_xml` uses).
+/// so output is deterministic).
 pub fn encode_profile_store(store: &ProfileStore) -> Vec<u8> {
     let entries = store.snapshot();
     let mut out = BytesMut::with_capacity(64 + entries.len() * 128);

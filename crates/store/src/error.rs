@@ -1,30 +1,10 @@
 //! [`StoreError`]: every persistence failure, with the context a user needs
-//! to act on it — which file, at which byte offset, in which format.
+//! to act on it — which file, at which byte offset.
 
 use std::error::Error;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-
-use lfi_profile::ProfileError;
-
-/// The on-disk format a load path detected (or was asked to write).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreFormat {
-    /// The XML interchange format (`to_xml`/`from_xml`).
-    Xml,
-    /// The `lfi-store` binary record format (magic `LFIS`).
-    Binary,
-}
-
-impl fmt::Display for StoreFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreFormat::Xml => f.write_str("xml"),
-            StoreFormat::Binary => f.write_str("binary"),
-        }
-    }
-}
 
 /// What went wrong, independent of where.
 #[derive(Debug)]
@@ -32,7 +12,7 @@ impl fmt::Display for StoreFormat {
 pub enum StoreErrorKind {
     /// The underlying file operation failed.
     Io(io::Error),
-    /// The bytes do not decode as the detected format.
+    /// The bytes do not decode as an `lfi-store` file or payload.
     Corrupt {
         /// What the decoder was reading when it gave up.
         message: String,
@@ -43,12 +23,10 @@ pub enum StoreErrorKind {
         /// The version the file claims.
         found: u16,
     },
-    /// An XML-format document failed to parse.
-    Xml(ProfileError),
 }
 
-/// A persistence error, carrying the path, byte offset and detected format
-/// of the failing load or save.  Load paths never panic on truncated or
+/// A persistence error, carrying the path and byte offset of the failing
+/// load or save.  Load paths never panic on truncated or
 /// hostile input — every such condition surfaces as a `StoreError`.
 #[derive(Debug)]
 pub struct StoreError {
@@ -56,8 +34,6 @@ pub struct StoreError {
     pub path: Option<PathBuf>,
     /// Byte offset of the failure within the file, when known.
     pub offset: Option<u64>,
-    /// The format the operation detected or targeted, when known.
-    pub format: Option<StoreFormat>,
     /// The underlying failure.
     pub kind: StoreErrorKind,
 }
@@ -65,46 +41,23 @@ pub struct StoreError {
 impl StoreError {
     /// An IO failure with no location context yet.
     pub fn io(error: io::Error) -> Self {
-        Self { path: None, offset: None, format: None, kind: StoreErrorKind::Io(error) }
+        Self { path: None, offset: None, kind: StoreErrorKind::Io(error) }
     }
 
     /// A corruption failure at a byte offset.
     pub fn corrupt(offset: u64, message: impl Into<String>) -> Self {
-        Self {
-            path: None,
-            offset: Some(offset),
-            format: Some(StoreFormat::Binary),
-            kind: StoreErrorKind::Corrupt { message: message.into() },
-        }
+        Self { path: None, offset: Some(offset), kind: StoreErrorKind::Corrupt { message: message.into() } }
     }
 
     /// A version-mismatch failure.
     pub fn unsupported_version(found: u16) -> Self {
-        Self {
-            path: None,
-            offset: None,
-            format: Some(StoreFormat::Binary),
-            kind: StoreErrorKind::UnsupportedVersion { found },
-        }
-    }
-
-    /// An XML parse failure.
-    pub fn xml(error: ProfileError) -> Self {
-        Self { path: None, offset: None, format: Some(StoreFormat::Xml), kind: StoreErrorKind::Xml(error) }
+        Self { path: None, offset: None, kind: StoreErrorKind::UnsupportedVersion { found } }
     }
 
     /// Attaches the file path (kept if already set).
     pub fn with_path(mut self, path: impl AsRef<Path>) -> Self {
         if self.path.is_none() {
             self.path = Some(path.as_ref().to_path_buf());
-        }
-        self
-    }
-
-    /// Attaches the detected format (kept if already set).
-    pub fn with_format(mut self, format: StoreFormat) -> Self {
-        if self.format.is_none() {
-            self.format = Some(format);
         }
         self
     }
@@ -118,10 +71,6 @@ impl fmt::Display for StoreError {
             StoreErrorKind::UnsupportedVersion { found } => {
                 write!(f, "unsupported store format version {found}")?;
             }
-            StoreErrorKind::Xml(error) => write!(f, "xml parse error: {error}")?,
-        }
-        if let Some(format) = self.format {
-            write!(f, " [format: {format}]")?;
         }
         if let Some(offset) = self.offset {
             write!(f, " [offset: {offset}]")?;
@@ -137,7 +86,6 @@ impl Error for StoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match &self.kind {
             StoreErrorKind::Io(error) => Some(error),
-            StoreErrorKind::Xml(error) => Some(error),
             _ => None,
         }
     }

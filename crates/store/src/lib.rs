@@ -3,28 +3,29 @@
 //! The paper's workflow (§3, §6) computes fault profiles once and replays
 //! them across many campaigns, and its exploration state must survive
 //! kills: both call for persistence that is cheap to *update*, not just to
-//! write.  The XML stores (`ProfileStore::to_xml`,
-//! `ExplorationStore::to_xml`) stay as the human-readable interchange
-//! format; this crate adds the machine format behind them:
+//! write.  This crate is the one representation of LFI's own state — the
+//! [`ProfileStore`] and the [`ExplorationStore`] — on disk and on the
+//! fabric wire.  (XML is kept only for the paper's artifacts, fault
+//! profiles and scenario plans.)
 //!
 //! * **A versioned, checksummed record format** ([`mod@format`]) — magic +
 //!   format version per file, CRC-32 per record — encoding the profile and
 //!   exploration stores compactly (zero-copy via the `bytes` shim).
 //!   Decoding never panics on hostile bytes: every failure is a
-//!   [`StoreError`] naming the path, byte offset and detected format.
+//!   [`StoreError`] naming the path and byte offset.
 //! * **A write-ahead journal** ([`Journal`], [`ExplorationJournal`]) —
 //!   full-snapshot records plus O(delta) records
 //!   ([`ExplorationDelta`](lfi_explore::ExplorationDelta) from the
 //!   explorer's batch loop, [`AckRecord`]s from the fabric scheduler) —
 //!   with periodic compaction and torn-tail recovery: a kill mid-append
 //!   loses at most the record being written.
-//! * **Format-sniffing file helpers** ([`load_profile_store`],
-//!   [`load_exploration`], …) — load paths accept either format by magic,
-//!   so binary adoption never breaks an XML workflow.
+//! * **Snapshot file helpers** ([`save_profile_store`],
+//!   [`load_profile_store`], [`save_exploration`], [`load_exploration`]) —
+//!   a file without the `LFIS` header is a `Corrupt` error at offset 0.
 //!
-//! The byte-identity contract: a store written and reloaded through the
-//! binary codec equals the original exactly, so XML → binary → XML
-//! round-trips byte-identically.
+//! The byte-identity contract: a store encoded and decoded through the
+//! codec equals the original exactly, and re-encoding it yields the same
+//! bytes.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -34,7 +35,6 @@ pub mod format;
 mod journal;
 
 use std::fs;
-use std::io::Read;
 use std::path::Path;
 
 use lfi_explore::{ExplorationStore, OutcomeClass};
@@ -46,7 +46,7 @@ pub use codec::{
     decode_ack, decode_exploration_delta, decode_exploration_store, decode_profile_entry, decode_profile_store,
     encode_ack, encode_exploration_delta, encode_exploration_store, encode_profile_entry, encode_profile_store,
 };
-pub use error::{StoreError, StoreErrorKind, StoreFormat};
+pub use error::{StoreError, StoreErrorKind};
 pub use journal::{ExplorationJournal, Journal, DEFAULT_COMPACT_EVERY};
 
 /// One journaled record — the unit the [`Journal`] appends and recovers.
@@ -64,8 +64,9 @@ pub enum Record {
     ProfileInsert(ProfileEntry),
 }
 
-/// One executed cell inside an [`AckRecord`] — the journaled twin of the
-/// fabric scheduler's per-cell outcome.
+/// One executed cell inside an [`AckRecord`].  The fabric scheduler keeps
+/// these as its per-cell outcomes too, so what it folds is what it
+/// journals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AckOutcome {
     /// The executed fault-space cell.
@@ -101,15 +102,6 @@ pub struct ProfileEntry {
     pub key: ProfileKey,
     /// The stored profile.
     pub profile: FaultProfile,
-}
-
-/// Sniffs the on-disk format of `path` by its magic bytes.
-pub fn sniff_format(path: impl AsRef<Path>) -> Result<StoreFormat, StoreError> {
-    let path = path.as_ref();
-    let mut magic = [0u8; 4];
-    let mut file = fs::File::open(path).map_err(|e| StoreError::io(e).with_path(path))?;
-    let read = file.read(&mut magic).map_err(|e| StoreError::io(e).with_path(path))?;
-    Ok(if read == 4 && magic == format::MAGIC { StoreFormat::Binary } else { StoreFormat::Xml })
 }
 
 /// Reads a whole file, with path context on failure.
@@ -149,26 +141,12 @@ pub fn save_profile_store(path: impl AsRef<Path>, store: &ProfileStore) -> Resul
     write_snapshot(path.as_ref(), format::RecordKind::ProfileSnapshot, &encode_profile_store(store))
 }
 
-/// Loads a [`ProfileStore`] from `path`, sniffing the format by magic:
-/// binary snapshot files decode through the checked codec, anything else
-/// parses as the XML interchange format.  Errors name the path, offset and
-/// detected format; truncated or hostile input never panics.
+/// Loads a [`ProfileStore`] from a binary snapshot file.  Errors name the
+/// path and byte offset; truncated or hostile input never panics.
 pub fn load_profile_store(path: impl AsRef<Path>) -> Result<ProfileStore, StoreError> {
     let path = path.as_ref();
-    match sniff_format(path)? {
-        StoreFormat::Binary => {
-            let payload = read_snapshot(path, format::RecordKind::ProfileSnapshot)?;
-            decode_profile_store(&payload).map_err(|e| e.with_path(path))
-        }
-        StoreFormat::Xml => {
-            let text = String::from_utf8(read_file(path)?).map_err(|e| {
-                StoreError::corrupt(e.utf8_error().valid_up_to() as u64, "non-UTF-8 XML document")
-                    .with_format(StoreFormat::Xml)
-                    .with_path(path)
-            })?;
-            ProfileStore::from_xml(&text).map_err(|e| StoreError::xml(e).with_path(path))
-        }
-    }
+    let payload = read_snapshot(path, format::RecordKind::ProfileSnapshot)?;
+    decode_profile_store(&payload).map_err(|e| e.with_path(path))
 }
 
 /// Saves an [`ExplorationStore`] as a binary snapshot file.
@@ -176,59 +154,26 @@ pub fn save_exploration(path: impl AsRef<Path>, store: &ExplorationStore) -> Res
     write_snapshot(path.as_ref(), format::RecordKind::ExplorationSnapshot, &encode_exploration_store(store))
 }
 
-/// Loads an [`ExplorationStore`] from `path`, sniffing the format by
-/// magic.  A binary file may be either a plain snapshot or a full journal
-/// — a journal is recovered (snapshot + durable deltas, torn tail
-/// truncated in memory, the file left untouched).
+/// Loads an [`ExplorationStore`] from `path`: either a plain snapshot
+/// file or a full journal — a journal is recovered (snapshot + durable
+/// deltas, torn tail truncated in memory, the file left untouched).
 pub fn load_exploration(path: impl AsRef<Path>) -> Result<ExplorationStore, StoreError> {
     let path = path.as_ref();
-    match sniff_format(path)? {
-        StoreFormat::Binary => {
-            let data = read_file(path)?;
-            let start = format::check_header(&data).map_err(|e| e.with_path(path))?;
-            let mut state: Option<ExplorationStore> = None;
-            let mut offset = start;
-            while let format::Frame::Record { kind, payload, next } = format::read_frame(&data, offset) {
-                match Record::decode(kind, payload) {
-                    Ok(Record::ExplorationSnapshot(store)) => state = Some(store),
-                    Ok(Record::ExplorationDelta(delta)) => match state.as_mut() {
-                        Some(state) => delta.apply(state),
-                        None => {
-                            return Err(StoreError::corrupt(offset as u64, "delta before any snapshot").with_path(path))
-                        }
-                    },
-                    Ok(_) => {
-                        return Err(StoreError::corrupt(offset as u64, "not an exploration store file").with_path(path))
-                    }
-                    Err(_) => break,
-                }
-                offset = next;
-            }
-            state.ok_or_else(|| {
-                StoreError::corrupt(start as u64, "no durable exploration snapshot record").with_path(path)
-            })
+    let data = read_file(path)?;
+    let start = format::check_header(&data).map_err(|e| e.with_path(path))?;
+    let mut state: Option<ExplorationStore> = None;
+    let mut offset = start;
+    while let format::Frame::Record { kind, payload, next } = format::read_frame(&data, offset) {
+        match Record::decode(kind, payload) {
+            Ok(Record::ExplorationSnapshot(store)) => state = Some(store),
+            Ok(Record::ExplorationDelta(delta)) => match state.as_mut() {
+                Some(state) => delta.apply(state),
+                None => return Err(StoreError::corrupt(offset as u64, "delta before any snapshot").with_path(path)),
+            },
+            Ok(_) => return Err(StoreError::corrupt(offset as u64, "not an exploration store file").with_path(path)),
+            Err(_) => break,
         }
-        StoreFormat::Xml => {
-            let text = String::from_utf8(read_file(path)?).map_err(|e| {
-                StoreError::corrupt(e.utf8_error().valid_up_to() as u64, "non-UTF-8 XML document")
-                    .with_format(StoreFormat::Xml)
-                    .with_path(path)
-            })?;
-            ExplorationStore::from_xml(&text).map_err(|e| StoreError::xml(e).with_path(path))
-        }
+        offset = next;
     }
-}
-
-/// Parses an [`ExplorationStore`] from XML text, wrapping failures in a
-/// [`StoreError`] (format context included) instead of a raw
-/// `ProfileError` — the robustness wrapper in-memory callers share with
-/// the file path.
-pub fn exploration_from_xml(text: &str) -> Result<ExplorationStore, StoreError> {
-    ExplorationStore::from_xml(text).map_err(StoreError::xml)
-}
-
-/// Parses a [`ProfileStore`] from XML text, wrapping failures in a
-/// [`StoreError`].
-pub fn profile_store_from_xml(text: &str) -> Result<ProfileStore, StoreError> {
-    ProfileStore::from_xml(text).map_err(StoreError::xml)
+    state.ok_or_else(|| StoreError::corrupt(start as u64, "no durable exploration snapshot record").with_path(path))
 }

@@ -2,17 +2,17 @@
 //! the full exhaustive campaign, the `Explorer` probes which functions the
 //! workload actually reaches, prunes the rest of the fault space, and
 //! escalates around the first crash — then snapshots its state to a
-//! resumable XML `ExplorationStore`.
+//! resumable `ExplorationStore`, encoded by `lfi-store`.
 //!
 //! Run with `cargo run --example explore_library`.
 
 use lfi::controller::FnWorkload;
 use lfi::corpus::{build_kernel, build_libc_scaled};
-use lfi::explore::ExplorationStore;
 use lfi::isa::Platform;
 use lfi::profiler::ProfilerOptions;
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
+use lfi::store::{decode_exploration_store, encode_exploration_store};
 use lfi::Lfi;
 
 fn setup() -> Process {
@@ -111,12 +111,13 @@ fn main() {
         "adaptive exploration stays within a quarter of the exhaustive budget"
     );
 
-    // Snapshot the full exploration state; a later process resumes from the
-    // XML with `Lfi::resume_exploration` and continues deterministically.
+    // Snapshot the full exploration state; a later process decodes it and
+    // resumes with `Lfi::resume_exploration`, continuing deterministically.
     let store = explorer.store();
-    let xml = store.to_xml();
-    println!("\nexploration store: {} bytes of XML (round-trips losslessly)", xml.len());
-    assert_eq!(ExplorationStore::from_xml(&xml).unwrap(), store);
+    let bytes = encode_exploration_store(&store);
+    println!("\nexploration store: {} bytes encoded (round-trips losslessly)", bytes.len());
+    let decoded = decode_exploration_store(&bytes).unwrap();
+    assert_eq!(encode_exploration_store(&decoded), bytes);
     let resumed = lfi.resume_exploration(&store, &["libc.so.6"]).unwrap();
     println!(
         "resumed explorer: batch index {}, {} cells still on the frontier",

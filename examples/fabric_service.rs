@@ -144,10 +144,10 @@ fn main() {
     }
     let checkpoint = client.checkpoint(writer).expect("checkpoint over the wire");
     println!(
-        "writer-sweep checkpoint: {} executed / {} frontier cells, {} bytes of resumable XML",
+        "writer-sweep checkpoint: {} executed / {} frontier cells, {} bytes encoded",
         checkpoint.executed.len(),
         checkpoint.frontier.len(),
-        checkpoint.to_xml().len(),
+        lfi::store::encode_exploration_store(&checkpoint).len(),
     );
     guard.stop();
 

@@ -154,9 +154,9 @@ pub mod fabric {
     pub use lfi_fabric::*;
 }
 
-/// Journaled binary persistence: checksummed record files, write-ahead
-/// delta journals with compaction and torn-tail recovery, and
-/// format-sniffing load/save for the profile and exploration stores.
+/// Journaled binary persistence — the one format for the profile and
+/// exploration stores: checksummed record files, write-ahead delta journals
+/// with compaction and torn-tail recovery, and snapshot load/save.
 pub mod store {
     pub use lfi_store::*;
 }

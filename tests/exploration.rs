@@ -5,11 +5,11 @@
 //! sequence.
 
 use lfi::corpus::{build_kernel, build_libc_scaled};
-use lfi::explore::ExplorationStore;
 use lfi::isa::Platform;
 use lfi::profiler::ProfilerOptions;
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
+use lfi::store::{decode_exploration_store, encode_exploration_store};
 use lfi::Lfi;
 
 const LIBC_EXPORTS: usize = 120;
@@ -109,16 +109,17 @@ fn mid_run_kill_and_store_resume_reproduce_identical_batches() {
     }
     assert!(full_reports.len() > 3, "enough batches to kill one mid-run");
 
-    // The killed run: three batches, then a snapshot through the XML round
-    // trip — as a new process reloading the store would see it.
+    // The killed run: three batches, then a snapshot through the binary
+    // codec — as a new process reloading the store would see it.
     let mut killed = build();
     let mut killed_reports = Vec::new();
     for _ in 0..3 {
         killed_reports.push(killed.step(setup, workload).unwrap());
     }
-    let xml = killed.store().to_xml();
+    let bytes = encode_exploration_store(&killed.store());
     drop(killed);
-    let store = ExplorationStore::from_xml(&xml).unwrap();
+    let store = decode_exploration_store(&bytes).unwrap();
+    assert_eq!(encode_exploration_store(&store), bytes, "the reloaded store re-encodes byte-identically");
     let mut resumed = lfi.resume_exploration(&store, &["libc.so.6"]).unwrap();
     while let Some(report) = resumed.step(setup, workload) {
         killed_reports.push(report);

@@ -9,12 +9,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lfi::controller::{FnWorkload, ProgressSnapshot};
-use lfi::explore::{ExplorationStore, OutcomeClass};
+use lfi::explore::OutcomeClass;
 use lfi::fabric::{
     Fabric, JobEvent, JobEventKind, JobId, JobSnapshot, JobSpec, JobState, Request, Response, WireError,
 };
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::{FaultAction, Plan, PlanEntry, Trigger};
+use lfi::store::{decode_exploration_store, encode_exploration_store};
 use proptest::prelude::*;
 
 fn reader_process() -> Process {
@@ -82,11 +83,11 @@ fn killed_worker_loses_no_cell_and_double_counts_none() {
         let report = fabric.report(job).expect("job exists");
         let checkpoint = fabric.checkpoint(job).expect("job exists");
         drop(fabric);
-        (snapshot, report, checkpoint.to_xml())
+        (snapshot, report, encode_exploration_store(&checkpoint))
     };
 
-    let (killed_snapshot, killed_report, killed_xml) = run_to_completion(true);
-    let (clean_snapshot, clean_report, clean_xml) = run_to_completion(false);
+    let (killed_snapshot, killed_report, killed_bytes) = run_to_completion(true);
+    let (clean_snapshot, clean_report, clean_bytes) = run_to_completion(false);
 
     // The interrupted run really was interrupted...
     assert!(killed_snapshot.requeued >= 1, "the dead worker's lease was requeued");
@@ -100,7 +101,7 @@ fn killed_worker_loses_no_cell_and_double_counts_none() {
     assert_eq!(killed_report.coverage.triggered, 12);
     assert_eq!(killed_report.coverage.failures, 12);
     assert_eq!(killed_report, clean_report);
-    assert_eq!(killed_xml, clean_xml);
+    assert_eq!(killed_bytes, clean_bytes);
 }
 
 #[test]
@@ -157,7 +158,10 @@ fn wire_protocol_round_trips_over_duplex_and_tcp() {
     assert!(events.iter().any(|e| matches!(e.kind, JobEventKind::State(JobState::Done))));
     assert!(events.iter().any(|e| matches!(&e.kind, JobEventKind::Finished { injections: 1, .. })));
     let checkpoint = duplex.checkpoint(job).expect("checkpoint over the wire");
-    assert_eq!(checkpoint.to_xml(), fabric.checkpoint(job).expect("job exists").to_xml());
+    assert_eq!(
+        encode_exploration_store(&checkpoint),
+        encode_exploration_store(&fabric.checkpoint(job).expect("job exists"))
+    );
     let listed = duplex.jobs().expect("job listing");
     assert_eq!(listed, vec![(job, "wired".to_owned(), JobState::Done)]);
 
@@ -246,6 +250,57 @@ fn tcp_reply_line_longer_than_the_cap_is_a_wire_error() {
 }
 
 #[test]
+fn checkpoint_replies_that_are_not_a_store_are_malformed() {
+    use std::io::{BufRead, BufReader, Write};
+
+    // A hostile peer answers each checkpoint request with damaged store
+    // bytes: odd-length hex, a non-hex digit, and well-formed hex of bytes
+    // the store codec rejects.
+    let replies = ["checkpoint job=1 store=abc", "checkpoint job=1 store=zz", "checkpoint job=1 store=deadbeef"];
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+    let addr = listener.local_addr().expect("bound address");
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("client connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut writer = stream;
+        for reply in replies {
+            let mut request = String::new();
+            reader.read_line(&mut request).expect("one request line");
+            assert_eq!(request.trim_end(), "checkpoint job=1");
+            writer.write_all(format!("{reply}\n").as_bytes()).expect("reply");
+        }
+    });
+
+    let mut client = lfi::fabric::FabricClient::tcp(addr).expect("connect");
+    for reply in replies {
+        let error = client.checkpoint(JobId(1)).expect_err(reply);
+        assert!(matches!(error, WireError::Malformed { .. }), "{reply}: got {error:?}");
+    }
+    peer.join().expect("peer thread");
+}
+
+#[test]
+fn submit_line_with_a_deeply_nested_plan_is_malformed() {
+    // A plan document nested 200,000 levels deep fits well inside a submit
+    // line; parsing it must fail cleanly on a 2 MiB stack, not abort.
+    let plan = "<plan>".to_owned() + &"<a>".repeat(200_000) + &"</a>".repeat(200_000) + "</plan>";
+    let line = format!("submit name=deep workload=reader plan={}", lfi::fabric::escape(&plan));
+    assert!(line.len() <= lfi::fabric::MAX_LINE_BYTES);
+    let fabric = Fabric::builder().workers(0).build();
+    let handle = fabric.handle();
+    let (parsed, reply) = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || (Request::parse(&line), handle.handle_line(&line)))
+        .expect("thread spawns")
+        .join()
+        .expect("parsing returns instead of overflowing the stack");
+    let error = parsed.expect_err("a too-deep plan is refused");
+    assert!(matches!(error, WireError::Malformed { .. }), "got {error:?}");
+    assert!(error.to_string().contains("deeper than"), "got {error}");
+    assert!(reply.starts_with("error message="), "got {reply:?}");
+}
+
+#[test]
 fn journaled_job_survives_a_kill_and_recovers_byte_identically() {
     let reader = || FnWorkload::new("reader", reader_process, read_four);
     let dir = std::env::temp_dir().join(format!("lfi-fabric-journal-{}", std::process::id()));
@@ -278,7 +333,7 @@ fn journaled_job_survives_a_kill_and_recovers_byte_identically() {
     let recovered = inert.recover_job(spec(), &path).expect("journal recovers");
     let store = inert.checkpoint(recovered).expect("job exists");
     assert_eq!(store, live);
-    assert_eq!(store.to_xml(), live.to_xml());
+    assert_eq!(encode_exploration_store(&store), encode_exploration_store(&live));
     assert_eq!(
         inert.status(recovered).expect("job exists").progress.finished,
         done_before_kill,
@@ -294,7 +349,7 @@ fn journaled_job_survives_a_kill_and_recovers_byte_identically() {
     assert_eq!(second.journal_error(resumed), None);
     let report = second.report(resumed).expect("job exists");
     assert_eq!(report.coverage.executed, 40, "union of pre-kill and post-recovery work");
-    let final_xml = second.checkpoint(resumed).expect("job exists").to_xml();
+    let final_bytes = encode_exploration_store(&second.checkpoint(resumed).expect("job exists"));
     drop(second);
 
     // The journal now holds the finished job; a third recovery and a clean
@@ -302,21 +357,22 @@ fn journaled_job_survives_a_kill_and_recovers_byte_identically() {
     let third = Fabric::builder().workers(0).register(reader()).build();
     let done = third.recover_job(spec(), &path).expect("finished journal recovers");
     assert_eq!(third.status(done).expect("job exists").state, JobState::Done);
-    assert_eq!(third.checkpoint(done).expect("job exists").to_xml(), final_xml);
+    assert_eq!(encode_exploration_store(&third.checkpoint(done).expect("job exists")), final_bytes);
     drop(third);
 
     let clean = Fabric::builder().workers(1).register(reader()).build();
     let clean_job = clean.submit(spec()).expect("workload registered");
     assert_eq!(clean.wait_job(clean_job, Duration::from_secs(60)), Some(JobState::Done));
-    assert_eq!(clean.checkpoint(clean_job).expect("job exists").to_xml(), final_xml);
+    assert_eq!(encode_exploration_store(&clean.checkpoint(clean_job).expect("job exists")), final_bytes);
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn checkpoint_restores_into_a_fresh_fabric() {
-    // Run a job partially, pause it, checkpoint it, and hand the XML to a
-    // second fabric — the union of both runs covers every cell exactly once.
+    // Run a job partially, pause it, checkpoint it, and hand the encoded
+    // store to a second fabric — the union of both runs covers every cell
+    // exactly once.
     let spec = || JobSpec::new("resumable", "reader", read_plan(4, &[5, 9, 11])).lease_batch(4);
 
     let first = Fabric::builder()
@@ -329,10 +385,10 @@ fn checkpoint_restores_into_a_fresh_fabric() {
     let parked = first.status(job).expect("job exists");
     assert!(!parked.state.is_terminal(), "paused, not finished");
     assert_eq!(parked.outstanding, 0);
-    let xml = first.checkpoint(job).expect("job exists").to_xml();
+    let bytes = encode_exploration_store(&first.checkpoint(job).expect("job exists"));
     drop(first);
 
-    let store = ExplorationStore::from_xml(&xml).expect("checkpoint parses");
+    let store = decode_exploration_store(&bytes).expect("checkpoint decodes");
     assert_eq!(store.executed.len() + store.frontier.len(), 12, "the checkpoint partitions the universe");
 
     let second = Fabric::builder()
@@ -349,7 +405,7 @@ fn checkpoint_restores_into_a_fresh_fabric() {
     assert_eq!(resumed.progress.finished + store.executed.len(), 12, "no cell ran twice");
 
     // The stitched-together checkpoint equals one from an uninterrupted run.
-    let final_xml = second.checkpoint(restored).expect("job exists").to_xml();
+    let final_bytes = encode_exploration_store(&second.checkpoint(restored).expect("job exists"));
     drop(second);
     let clean = Fabric::builder()
         .workers(1)
@@ -357,7 +413,7 @@ fn checkpoint_restores_into_a_fresh_fabric() {
         .build();
     let clean_job = clean.submit(spec()).expect("workload registered");
     assert_eq!(clean.wait_job(clean_job, Duration::from_secs(60)), Some(JobState::Done));
-    assert_eq!(clean.checkpoint(clean_job).expect("job exists").to_xml(), final_xml);
+    assert_eq!(encode_exploration_store(&clean.checkpoint(clean_job).expect("job exists")), final_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -495,7 +551,8 @@ fn arb_response() -> impl Strategy<Value = Response> {
         (arb_job(), any::<u64>(), proptest::collection::vec(arb_event(), 0..6))
             .prop_map(|(job, next, events)| Response::Events { job, next, events }),
         (arb_job(), arb_state()).prop_map(|(job, state)| Response::StateChanged { job, state }),
-        (arb_job(), arb_text()).prop_map(|(job, store_xml)| Response::Checkpoint { job, store_xml }),
+        (arb_job(), proptest::collection::vec(0u8..=255, 0..64))
+            .prop_map(|(job, store)| Response::Checkpoint { job, store }),
         Just(Response::Draining),
         arb_text().prop_map(|message| Response::Error { message }),
     ]

@@ -6,14 +6,13 @@
 //! * shared dependencies (libc, the kernel image) are disassembled exactly
 //!   once per batch and never again while their bytes are unchanged;
 //! * warm repeats replay memoized resolutions;
-//! * the facade's `ProfileStore` survives an XML round-trip and replays
-//!   across facade instances.
+//! * the facade's `ProfileStore` survives a binary snapshot file round
+//!   trip and replays across facade instances.
 
 use lfi::asm::{FaultSpec, FunctionSpec, LibraryCompiler, LibrarySpec};
 use lfi::corpus::{build_kernel, build_libc_scaled};
 use lfi::isa::Platform;
 use lfi::objfile::SharedObject;
-use lfi::profile::ProfileStore;
 use lfi::profiler::Profiler;
 use lfi::Lfi;
 
@@ -100,13 +99,16 @@ fn profile_store_round_trips_across_facades() {
 
     // Persist the store, load it into a second facade over the same
     // binaries: every profile replays without analysis.
-    let xml = lfi.profile_store().to_xml();
+    let path = std::env::temp_dir().join(format!("lfi-profiler-cache-{}.lfis", std::process::id()));
+    lfi.save_profile_store(&path).unwrap();
     let mut restored = Lfi::new();
     for library in &libraries {
         restored.add_library(library.clone());
     }
     restored.set_kernel(build_kernel(Platform::LinuxX86));
-    restored.load_profile_store(ProfileStore::from_xml(&xml).unwrap());
+    restored.load_profile_store_file(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(restored.profile_store(), lfi.profile_store());
     let replayed = restored.profile_all().unwrap();
     assert!(replayed.iter().all(|r| r.stats.served_from_store));
     assert_eq!(restored.profiler().analysis_db().disasm_cache().misses(), 0);

@@ -207,9 +207,9 @@ proptest! {
     }
 
     /// Profile stores — arbitrary profiles under arbitrary keys — survive
-    /// the XML round trip losslessly.
+    /// the binary-codec round trip losslessly.
     #[test]
-    fn profile_stores_round_trip_through_xml(
+    fn profile_stores_round_trip_through_the_binary_codec(
         entries in proptest::collection::vec((arb_profile(), any::<u64>(), any::<bool>()), 0..5),
     ) {
         let store = ProfileStore::new();
@@ -217,8 +217,7 @@ proptest! {
             let platform = if keep_platform { profile.platform.clone() } else { None };
             store.insert(ProfileKey::new(profile.library.clone(), platform, code_hash), profile);
         }
-        let xml = store.to_xml();
-        let parsed = ProfileStore::from_xml(&xml).unwrap();
+        let parsed = lfi::store::decode_profile_store(&lfi::store::encode_profile_store(&store)).unwrap();
         prop_assert_eq!(parsed, store);
     }
 

@@ -5,7 +5,8 @@
 use lfi::controller::Injector;
 use lfi::isa::Platform;
 use lfi::objfile::{ObjectBuilder, SharedObject};
-use lfi::profile::FaultProfile;
+use lfi::profile::xml::{self, XmlError, MAX_DEPTH};
+use lfi::profile::{FaultProfile, ProfileError};
 use lfi::profiler::{Profiler, ProfilerError};
 use lfi::runtime::{Process, RuntimeError};
 use lfi::scenario::generator::{Random, ScenarioGenerator, TriggerLoad};
@@ -49,6 +50,31 @@ fn malformed_plan_xml_is_rejected_not_panicked() {
             "case {case:?}"
         );
     }
+}
+
+/// `depth` nested `<a>` elements.
+fn nested_document(depth: usize) -> String {
+    "<a>".repeat(depth) + &"</a>".repeat(depth)
+}
+
+#[test]
+fn deeply_nested_xml_is_rejected_within_a_2_mib_stack() {
+    // 200,000 levels (1.4 MB) overflow an unbounded recursive parser on a
+    // default-sized thread stack, which aborts the whole process.
+    let parsed = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let hostile = nested_document(200_000);
+            assert_eq!(xml::parse(&hostile), Err(XmlError::TooDeep { offset: 3 * MAX_DEPTH }));
+            assert!(matches!(Plan::from_xml(&hostile), Err(ScenarioError::Xml(XmlError::TooDeep { .. }))));
+            assert!(matches!(FaultProfile::from_xml(&hostile), Err(ProfileError::Xml(XmlError::TooDeep { .. }))));
+            // The deepest document the bound admits still parses here.
+            xml::parse(&nested_document(MAX_DEPTH)).is_ok()
+        })
+        .expect("thread spawns")
+        .join()
+        .expect("the parser returns instead of overflowing the stack");
+    assert!(parsed);
 }
 
 #[test]

@@ -1,8 +1,10 @@
-//! The lfi-store durability contracts, end to end: XML → binary → XML
-//! byte-identity for arbitrary stores, torn-tail recovery at *every* byte
-//! offset of a killed append, hostile-bytes robustness (never panic, always
-//! a `StoreError` naming path/offset/format), and a journaled explorer
-//! kill + resume that reproduces the uninterrupted run batch for batch.
+//! The lfi-store durability contracts, end to end: lossless, byte-stable
+//! codec round trips for arbitrary stores, torn-tail recovery at *every*
+//! byte offset of a killed append, hostile-bytes robustness (never panic,
+//! always a typed error — a `StoreError` naming path and offset for store
+//! files, a typed XML error for the plan and profile documents that stay
+//! XML), and a journaled explorer kill + resume that reproduces the
+//! uninterrupted run batch for batch.
 
 use std::fs;
 use std::path::PathBuf;
@@ -13,12 +15,12 @@ use lfi::corpus::{build_kernel, build_libc_scaled};
 use lfi::explore::{CrashCluster, ExplorationDelta, ExplorationStore, FrontierCell, FunctionCoverage, OutcomeClass};
 use lfi::intern::Symbol;
 use lfi::isa::Platform;
-use lfi::profile::{ProfileKey, ProfileStore};
+use lfi::profile::{FaultProfile, ProfileKey, ProfileStore};
 use lfi::profiler::ProfilerOptions;
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
-use lfi::scenario::FaultCell;
-use lfi::store::{format, ExplorationJournal, Journal, Record};
+use lfi::scenario::{FaultCell, Plan};
+use lfi::store::{encode_exploration_store, format, ExplorationJournal, Journal, Record};
 use lfi::Lfi;
 
 // ---------------------------------------------------------------------------
@@ -196,7 +198,7 @@ fn recovery_at_every_truncation_offset_restores_the_last_durable_state() {
     drop(recovered);
     assert_eq!(ExplorationJournal::open(&truncated).unwrap().state(), &s2, "re-appended delta is durable");
 
-    // The sniffing loader recovers the same durable state from a torn file.
+    // The file loader recovers the same durable state from a torn file.
     fs::write(&truncated, &bytes[..len2 as usize - 1]).unwrap();
     assert_eq!(lfi::store::load_exploration(&truncated).unwrap(), s1);
 
@@ -284,8 +286,7 @@ fn workload(process: &mut Process) -> ExitStatus {
 /// The incremental-checkpoint contract over the journal: an exploration
 /// that appends one O(delta) record per batch, is killed, and recovers from
 /// the journal resumes with the *identical* remaining batch sequence — the
-/// same fixed-seed byte-identity the XML snapshot path guarantees, now at
-/// delta cost.
+/// same fixed-seed byte-identity a full snapshot guarantees, at delta cost.
 #[test]
 fn journaled_explorer_kill_and_resume_reproduces_the_uninterrupted_run() {
     let dir = temp_dir("lfi-store-explorer");
@@ -316,10 +317,10 @@ fn journaled_explorer_kill_and_resume_reproduces_the_uninterrupted_run() {
     drop(live); // the kill
 
     // Recovery is byte-identical to the last durable point, through both
-    // the typed journal and the format-sniffing facade loader.
+    // the typed journal and the facade's file loader.
     let recovered = ExplorationJournal::open(&journal_path).unwrap();
     assert_eq!(recovered.state(), &live_store);
-    assert_eq!(recovered.state().to_xml(), live_store.to_xml());
+    assert_eq!(encode_exploration_store(recovered.state()), encode_exploration_store(&live_store));
     assert_eq!(&lfi.load_exploration(&journal_path).unwrap(), recovered.state());
 
     // Resuming from the recovered store finishes the run identically.
@@ -332,6 +333,70 @@ fn journaled_explorer_kill_and_resume_reproduces_the_uninterrupted_run() {
     assert_eq!(resumed.clusters(), full.clusters());
 
     fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// The XML that remains: plans and fault profiles
+// ---------------------------------------------------------------------------
+
+/// A plan exercising every element of the scenario dialect.
+fn plan_document() -> String {
+    r#"<?xml version="1.0"?>
+<plan seed="7">
+  <function name="read" inject="2" retval="-1" errno="EIO" calloriginal="false">
+    <stacktrace><frame>load_config</frame></stacktrace>
+  </function>
+  <function name="write" inject="1" calloriginal="true">
+    <modify argument="3" op="sub" value="10" />
+  </function>
+  <function name="close" probability="0.5">
+    <choice retval="-1"><side-effect type="TLS" module="libc.so.6" offset="12FFF4">-9</side-effect></choice>
+  </function>
+</plan>
+"#
+    .to_owned()
+}
+
+/// A two-function fault profile with side effects.
+fn profile_document() -> String {
+    r#"<?xml version="1.0"?>
+<profile library="libc.so.6" platform="Linux/x86">
+  <function name="close">
+    <error-codes retval="-1">
+      <side-effect type="TLS" module="libc.so.6" offset="12FFF4">-9</side-effect>
+      <side-effect type="TLS" module="libc.so.6" offset="12FFF4">-5</side-effect>
+    </error-codes>
+  </function>
+  <function name="read"><error-codes retval="-1" /></function>
+</profile>
+"#
+    .to_owned()
+}
+
+/// Runs `text` through both XML parsers.  Each must return `Ok` or its
+/// typed error, which renders a message; a panic fails the test.
+fn parses_or_fails_typed(text: &str) {
+    if let Err(error) = Plan::from_xml(text) {
+        assert!(!error.to_string().is_empty(), "{text:?}");
+    }
+    if let Err(error) = FaultProfile::from_xml(text) {
+        assert!(!error.to_string().is_empty(), "{text:?}");
+    }
+}
+
+/// Every prefix of a valid plan and a valid profile document parses or
+/// fails with a typed error.
+#[test]
+fn every_prefix_of_a_plan_or_profile_document_fails_typed() {
+    let plan = plan_document();
+    let profile = profile_document();
+    assert!(Plan::from_xml(&plan).is_ok_and(|plan| plan.len() == 3), "the plan fixture parses");
+    assert!(FaultProfile::from_xml(&profile).is_ok_and(|profile| profile.function_count() == 2));
+    for document in [&plan, &profile] {
+        for cut in 0..document.len() {
+            parses_or_fails_typed(&String::from_utf8_lossy(&document.as_bytes()[..cut]));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -431,21 +496,20 @@ fn arb_exploration_store() -> impl Strategy<Value = ExplorationStore> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// XML → binary → XML is byte-identical for arbitrary exploration
-    /// stores: the binary codec loses nothing the XML interchange format
-    /// carries.
+    /// Arbitrary exploration stores decode to themselves, and re-encoding
+    /// the decoded store reproduces the bytes exactly.
     #[test]
-    fn exploration_stores_round_trip_xml_binary_xml_byte_identically(store in arb_exploration_store()) {
-        let xml = store.to_xml();
-        let decoded = lfi::store::decode_exploration_store(&lfi::store::encode_exploration_store(&store)).unwrap();
+    fn exploration_stores_round_trip_through_the_binary_codec_byte_identically(store in arb_exploration_store()) {
+        let bytes = encode_exploration_store(&store);
+        let decoded = lfi::store::decode_exploration_store(&bytes).unwrap();
         prop_assert_eq!(&decoded, &store);
-        prop_assert_eq!(decoded.to_xml(), xml.clone());
-        prop_assert_eq!(lfi::store::exploration_from_xml(&xml).unwrap(), store);
+        prop_assert_eq!(encode_exploration_store(&decoded), bytes);
     }
 
-    /// XML → binary → XML is byte-identical for arbitrary profile stores.
+    /// Arbitrary profiles under arbitrary keys decode to the same store,
+    /// and re-encoding reproduces the bytes exactly.
     #[test]
-    fn profile_stores_round_trip_xml_binary_xml_byte_identically(
+    fn profile_stores_round_trip_through_the_binary_codec_byte_identically(
         entries in proptest::collection::vec((lfi_test_profiles::arb_profile(), any::<u64>(), any::<bool>()), 0..5),
     ) {
         let store = ProfileStore::new();
@@ -453,14 +517,15 @@ proptest! {
             let platform = if keep_platform { profile.platform.clone() } else { None };
             store.insert(ProfileKey::new(profile.library.clone(), platform, code_hash), profile);
         }
-        let xml = store.to_xml();
-        let decoded = lfi::store::decode_profile_store(&lfi::store::encode_profile_store(&store)).unwrap();
-        prop_assert_eq!(decoded.to_xml(), xml.clone());
-        prop_assert_eq!(lfi::store::profile_store_from_xml(&xml).unwrap().to_xml(), xml);
+        let bytes = lfi::store::encode_profile_store(&store);
+        let decoded = lfi::store::decode_profile_store(&bytes).unwrap();
+        prop_assert_eq!(&decoded, &store);
+        prop_assert_eq!(lfi::store::encode_profile_store(&decoded), bytes);
     }
 
-    /// Raw hostile bytes through every decoder: always a `StoreError`,
-    /// never a panic.
+    /// Raw hostile bytes through every decoder — the binary codec and the
+    /// two XML documents LFI reads (plans and fault profiles): always a
+    /// typed error, never a panic.
     #[test]
     fn hostile_bytes_never_panic_in_the_decoders(bytes in proptest::collection::vec(0u8..=255, 0..300)) {
         let _ = lfi::store::decode_exploration_store(&bytes);
@@ -468,9 +533,22 @@ proptest! {
         let _ = lfi::store::decode_profile_store(&bytes);
         let _ = lfi::store::decode_profile_entry(&bytes);
         let _ = lfi::store::decode_ack(&bytes);
-        let text = String::from_utf8_lossy(&bytes);
-        let _ = lfi::store::exploration_from_xml(&text);
-        let _ = lfi::store::profile_store_from_xml(&text);
+        parses_or_fails_typed(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Valid plan and profile documents with one byte flipped parse or
+    /// fail with a typed error, never a panic.
+    #[test]
+    fn flipped_plan_and_profile_documents_never_panic(
+        at in any::<prop::sample::Index>(),
+        mask in 1u8..=255,
+    ) {
+        for document in [plan_document(), profile_document()] {
+            let mut bytes = document.into_bytes();
+            let at = at.index(bytes.len());
+            bytes[at] ^= mask;
+            parses_or_fails_typed(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     /// Fuzzed prefixes of a *valid* journal file — optionally with one byte
