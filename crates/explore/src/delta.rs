@@ -121,7 +121,7 @@ impl ExplorationDelta {
             match store
                 .clusters
                 .iter_mut()
-                .find(|c| c.function == cluster.function && c.stack == cluster.stack && c.outcome == cluster.outcome)
+                .find(|c| c.matches(cluster.function, &cluster.stack, cluster.outcome))
             {
                 Some(existing) => *existing = cluster.clone(),
                 None => store.clusters.push(cluster.clone()),

@@ -109,6 +109,19 @@ impl CrashCluster {
     pub fn is_crash(&self) -> bool {
         self.outcome.is_crash()
     }
+
+    /// True when an outcome with this key folds into the cluster.
+    pub fn matches(&self, function: Symbol, stack: &[Symbol], outcome: OutcomeClass) -> bool {
+        self.function == function && self.stack == stack && self.outcome == outcome
+    }
+
+    /// The stack a case's outcome clusters under: its first injection's
+    /// stack, empty when nothing was injected.  Cell cases run a one-entry
+    /// plan, which injects at most once, so "first injection" and "first
+    /// non-empty injection stack" agree on every cell case.
+    pub fn stack_of(outcome: &TestOutcome) -> Vec<Symbol> {
+        outcome.log.injections.first().map(|record| record.stack.clone()).unwrap_or_default()
+    }
 }
 
 /// Per-function coverage accounting.
@@ -1023,8 +1036,7 @@ impl Explorer {
         }
         let class = OutcomeClass::of(outcome.status);
         if class != OutcomeClass::Success {
-            let stack = outcome.log.injections.first().map(|r| r.stack.clone()).unwrap_or_default();
-            self.cluster(cell, &outcome.name, stack, class);
+            self.cluster(cell, &outcome.name, CrashCluster::stack_of(outcome), class);
         }
         if class.is_crash() {
             self.crash_found = true;
@@ -1036,11 +1048,7 @@ impl Explorer {
 
     /// Deduplicates a non-success outcome into the cluster table.
     fn cluster(&mut self, cell: FaultCell, case: &str, stack: Vec<Symbol>, outcome: OutcomeClass) {
-        if let Some(index) = self
-            .clusters
-            .iter()
-            .position(|c| c.function == cell.function && c.stack == stack && c.outcome == outcome)
-        {
+        if let Some(index) = self.clusters.iter().position(|c| c.matches(cell.function, &stack, outcome)) {
             self.clusters[index].count += 1;
             self.tracker.clusters.insert(index);
             return;

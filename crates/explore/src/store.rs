@@ -15,7 +15,7 @@ use crate::explorer::{CrashCluster, FrontierCell, FunctionCoverage};
 /// cluster table, and the RNG stream position.  `lfi-store`'s codec
 /// round-trips it losslessly, so `Explorer::resume` continues with exactly
 /// the remaining batch sequence of the snapshotted run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExplorationStore {
     /// RNG seed of the exploration.
     pub seed: u64,

@@ -12,7 +12,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lfi_controller::{Campaign, CaseEvent, ExecutionPolicy, TestCase, Workload, WorkloadRegistry};
-use lfi_explore::{ExplorationStore, OutcomeClass};
+use lfi_explore::{CrashCluster, ExplorationStore, OutcomeClass};
 use lfi_scenario::Plan;
 use lfi_store::{AckOutcome, AckRecord, Journal, Record, StoreError};
 
@@ -383,8 +383,8 @@ impl FabricHandle {
 
     /// Serializes the job's complete state as an [`ExplorationStore`] (the
     /// crash-safe handoff format) — pending and leased cells in the
-    /// frontier, acked cells with coverage and clusters folded in
-    /// process-independent order.
+    /// frontier, plus the job's fold of acked cells, coverage and clusters,
+    /// which does not depend on ack order.
     pub fn checkpoint(&self, job: JobId) -> Option<ExplorationStore> {
         lock(&self.inner.sched).checkpoint(job)
     }
@@ -649,8 +649,6 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
             CaseEvent::Outcome { index, outcome } => {
                 let class = OutcomeClass::of(outcome.status);
                 let injections = outcome.injection_count();
-                // The cluster stack is the case's first non-empty injection stack.
-                let stack = outcome.log.injections.iter().map(|record| &record.stack).find(|stack| !stack.is_empty());
                 result
                     .events
                     .push(JobEventKind::Finished { case: outcome.name.clone(), outcome: class, injections });
@@ -659,7 +657,7 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
                     outcome: class,
                     injections: injections as u64,
                     triggered: injections > 0,
-                    stack: stack.cloned().unwrap_or_default(),
+                    stack: CrashCluster::stack_of(&outcome),
                     case: outcome.name,
                 });
             }

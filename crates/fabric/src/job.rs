@@ -266,9 +266,9 @@ pub struct JobCoverage {
 }
 
 /// The final (or interim) result of a job: coverage plus the deduplicated
-/// outcome clusters, both derived by folding the per-cell results in
-/// process-independent cell order — so a run interrupted by worker deaths
-/// and an uninterrupted run produce byte-identical reports.
+/// outcome clusters, read from the job's fold, which does not depend on ack
+/// order — so a run interrupted by worker deaths and an uninterrupted run
+/// produce byte-identical reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// The job's id.
@@ -281,7 +281,9 @@ pub struct JobReport {
     pub coverage: JobCoverage,
     /// Deduplicated non-success clusters, keyed like
     /// [`CrashCluster`](lfi_explore::CrashCluster) (function, stack,
-    /// outcome class), in sorted-cell discovery order.
+    /// outcome class): clusters restored from a checkpoint first, in their
+    /// order, then the rest ordered by their example, which is their
+    /// smallest cell.
     pub clusters: Vec<CrashCluster>,
 }
 

@@ -21,9 +21,12 @@
 //!   lost or double-counted.  A job's complete state serializes as a
 //!   standard [`ExplorationStore`](lfi_explore::ExplorationStore)
 //!   checkpoint ([`FabricHandle::checkpoint`] /
-//!   [`FabricHandle::submit_restored`]), folded in process-independent
-//!   cell order so interrupted and clean runs are byte-identical; and a
-//!   job can attach an `lfi-store` write-ahead journal
+//!   [`FabricHandle::submit_restored`]).  Each ack folds its newly
+//!   executed cells into the job's one live fold once; a cluster's example
+//!   is its smallest cell by sort key and clusters are ordered by example
+//!   (restored clusters keep their order), so the fold ignores ack order
+//!   and interrupted and clean runs checkpoint byte-identically.  A job
+//!   can attach an `lfi-store` write-ahead journal
 //!   ([`FabricHandle::journal_job`] / [`FabricHandle::recover_job`]) that
 //!   appends one CRC-framed ack record per lease, so recovering a killed
 //!   process replays O(acks) deltas instead of rewriting a full

@@ -1,6 +1,6 @@
 //! The multi-tenant scheduler: per-job frontiers, deficit-weighted lease
-//! issuing, crash-safe lease accounting, and the fold from acked cells to
-//! checkpoints and reports.
+//! issuing, crash-safe lease accounting, and each job's live fold of acked
+//! cells, which snapshots, reports and checkpoints read.
 //!
 //! The scheduler is a plain synchronous state machine — every method runs
 //! under the fabric's one mutex, takes `now` as a parameter (so expiry is
@@ -9,13 +9,12 @@
 //! here as three calls: [`Scheduler::next_lease`], [`Scheduler::ack`],
 //! [`Scheduler::requeue_panic`].
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lfi_controller::{CancelHandle, ProgressSnapshot, Workload};
 use lfi_explore::{CrashCluster, ExplorationStore, FrontierCell, FunctionCoverage, OutcomeClass};
-use lfi_intern::Symbol;
 use lfi_scenario::FaultCell;
 use lfi_store::{AckOutcome, AckRecord};
 
@@ -91,33 +90,98 @@ impl EventBuffer {
     }
 }
 
-/// Already-executed state carried over from a restored
-/// [`ExplorationStore`] checkpoint.
-struct RestoredBase {
-    executed: Vec<FaultCell>,
-    executed_set: HashSet<FaultCell>,
-    skipped: Vec<FaultCell>,
-    coverage: Vec<(Symbol, FunctionCoverage)>,
-    clusters: Vec<CrashCluster>,
-    injections: u64,
+/// A cell's place in checkpoint order: its sort key, with the errno itself
+/// breaking the tie between no errno and `i64::MIN`.
+type CellKey = (&'static str, u64, i64, Option<i64>);
+
+fn cell_key(cell: &FaultCell) -> CellKey {
+    (cell.function.as_str(), cell.call_ordinal, cell.retval, cell.errno)
+}
+
+/// A set of cells in checkpoint order.
+type CellSet = BTreeMap<CellKey, FaultCell>;
+
+fn cell_set<'a>(cells: impl IntoIterator<Item = &'a FaultCell>) -> CellSet {
+    cells.into_iter().map(|cell| (cell_key(cell), *cell)).collect()
+}
+
+/// A job's outcome fold, kept in checkpoint form: [`JobFold::record`] folds
+/// each newly executed cell in once, so snapshots, reports and checkpoints
+/// read it without revisiting acked cells.
+///
+/// Clusters restored from a checkpoint keep their order and example.  A
+/// cluster first seen after admit takes its smallest cell (by sort key) as
+/// its example, and those clusters are ordered by example — so the fold is
+/// the same whatever order the acks land in.
+struct JobFold {
+    /// The checkpoint minus its cell lists: header, counters, coverage and
+    /// clusters.  Its `frontier`, `executed` and `unreached` stay empty.
+    store: ExplorationStore,
+    executed: CellSet,
+    /// Skipped cells: the checkpoint's `unreached`.
+    skipped: CellSet,
+    /// How many leading clusters came from the restored checkpoint.
+    restored_clusters: usize,
     crashes: u64,
     failures: u64,
 }
 
-impl RestoredBase {
-    fn from_store(store: &ExplorationStore) -> Self {
-        let crashes = store.clusters.iter().filter(|c| c.is_crash()).map(|c| c.count).sum();
-        let failures = store.clusters.iter().filter(|c| !c.is_crash()).map(|c| c.count).sum();
-        Self {
-            executed_set: store.executed.iter().copied().collect(),
-            executed: store.executed.clone(),
-            skipped: store.unreached.clone(),
-            coverage: store.coverage.clone(),
-            clusters: store.clusters.clone(),
-            injections: store.injections_performed,
-            crashes,
-            failures,
+impl JobFold {
+    fn skip(&mut self, cells: &[FaultCell]) {
+        self.skipped.extend(cell_set(cells));
+    }
+
+    /// Folds one acked outcome in; a cell that already ran is ignored.
+    fn record(&mut self, outcome: AckOutcome) {
+        let cell = outcome.cell;
+        if self.executed.insert(cell_key(&cell), cell).is_some() {
+            return;
         }
+        let store = &mut self.store;
+        store.cases_executed += 1;
+        store.injections_performed += outcome.injections;
+        if outcome.triggered {
+            let index = match store.coverage.binary_search_by_key(&cell.function.as_str(), |(s, _)| s.as_str()) {
+                Ok(index) => index,
+                Err(index) => {
+                    store.coverage.insert(index, (cell.function, FunctionCoverage::default()));
+                    index
+                }
+            };
+            store.coverage[index].1.triggered.insert((cell.call_ordinal, cell.retval, cell.errno));
+        }
+        match outcome.outcome {
+            OutcomeClass::Success => return,
+            OutcomeClass::Failure(_) => self.failures += 1,
+            OutcomeClass::Crash(_) => {
+                self.crashes += 1;
+                store.crash_found = true;
+            }
+        }
+        let clusters = &mut store.clusters;
+        let cluster = match clusters.iter().position(|c| c.matches(cell.function, &outcome.stack, outcome.outcome)) {
+            Some(index) => {
+                clusters[index].count += 1;
+                if index < self.restored_clusters || cell_key(&clusters[index].example) < cell_key(&cell) {
+                    return;
+                }
+                let mut cluster = clusters.remove(index);
+                cluster.example = cell;
+                cluster.example_case = outcome.case;
+                cluster
+            }
+            None => CrashCluster {
+                function: cell.function,
+                stack: outcome.stack,
+                outcome: outcome.outcome,
+                count: 1,
+                example: cell,
+                example_case: outcome.case,
+            },
+        };
+        let new = &clusters[self.restored_clusters..];
+        let at = self.restored_clusters + new.partition_point(|c| cell_key(&c.example) < cell_key(&cell));
+        clusters.insert(at, cluster);
     }
 }
 
@@ -126,12 +190,9 @@ struct JobRecord {
     spec: JobSpec,
     workload: Arc<dyn Workload>,
     state: JobState,
-    cases_total: usize,
     frontier: VecDeque<FaultCell>,
     outstanding: HashMap<u64, OutstandingLease>,
-    done: HashMap<FaultCell, AckOutcome>,
-    skipped: HashSet<FaultCell>,
-    base: Option<RestoredBase>,
+    fold: JobFold,
     /// Cells leased cumulatively (re-issues count) — the `started` counter.
     started: u64,
     /// Deficit counter for weighted fairness; decremented when a lease's
@@ -144,10 +205,6 @@ struct JobRecord {
 }
 
 impl JobRecord {
-    fn already_executed(&self, cell: &FaultCell) -> bool {
-        self.done.contains_key(cell) || self.base.as_ref().is_some_and(|b| b.executed_set.contains(cell))
-    }
-
     fn runnable(&self) -> bool {
         matches!(self.state, JobState::Queued | JobState::Running) && !self.frontier.is_empty()
     }
@@ -170,7 +227,7 @@ impl JobRecord {
     fn skip_frontier(&mut self) {
         while let Some(cell) = self.frontier.pop_front() {
             self.events.push(JobEventKind::Skipped { case: case_name(&cell) });
-            self.skipped.insert(cell);
+            self.fold.skip(&[cell]);
         }
     }
 
@@ -193,84 +250,6 @@ impl JobRecord {
         if self.state == JobState::Running && self.frontier.is_empty() && self.outstanding.is_empty() {
             self.set_state(JobState::Done);
         }
-    }
-
-    fn crashes(&self) -> u64 {
-        let new = self.done.values().filter(|o| o.outcome.is_crash()).count() as u64;
-        new + self.base.as_ref().map_or(0, |b| b.crashes)
-    }
-
-    fn failures(&self) -> u64 {
-        let new = self.done.values().filter(|o| matches!(o.outcome, OutcomeClass::Failure(_))).count() as u64;
-        new + self.base.as_ref().map_or(0, |b| b.failures)
-    }
-
-    fn executed_count(&self) -> usize {
-        self.done.len() + self.base.as_ref().map_or(0, |b| b.executed.len())
-    }
-
-    fn injections(&self) -> u64 {
-        let new: u64 = self.done.values().map(|o| o.injections).sum();
-        new + self.base.as_ref().map_or(0, |b| b.injections)
-    }
-
-    fn skipped_count(&self) -> usize {
-        self.skipped.len() + self.base.as_ref().map_or(0, |b| b.skipped.len())
-    }
-
-    /// The done cells in process-independent order — the spine every
-    /// deterministic fold (clusters, coverage, checkpoints) walks.
-    fn done_cells_sorted(&self) -> Vec<FaultCell> {
-        let mut cells: Vec<FaultCell> = self.done.keys().copied().collect();
-        cells.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        cells
-    }
-
-    /// Base clusters plus the acked cells folded in sorted-cell order.
-    fn merged_clusters(&self) -> Vec<CrashCluster> {
-        let mut clusters: Vec<CrashCluster> = self.base.as_ref().map_or_else(Vec::new, |b| b.clusters.clone());
-        for cell in self.done_cells_sorted() {
-            let outcome = &self.done[&cell];
-            if outcome.outcome == OutcomeClass::Success {
-                continue;
-            }
-            match clusters
-                .iter_mut()
-                .find(|c| c.function == cell.function && c.stack == outcome.stack && c.outcome == outcome.outcome)
-            {
-                Some(cluster) => cluster.count += 1,
-                None => clusters.push(CrashCluster {
-                    function: cell.function,
-                    stack: outcome.stack.clone(),
-                    outcome: outcome.outcome,
-                    count: 1,
-                    example: cell,
-                    example_case: outcome.case.clone(),
-                }),
-            }
-        }
-        clusters
-    }
-
-    /// Base coverage plus the triggered acked cells, sorted by function
-    /// name.
-    fn merged_coverage(&self) -> Vec<(Symbol, FunctionCoverage)> {
-        let mut map: BTreeMap<&'static str, (Symbol, FunctionCoverage)> = BTreeMap::new();
-        if let Some(base) = &self.base {
-            for (symbol, function) in &base.coverage {
-                map.insert(symbol.as_str(), (*symbol, function.clone()));
-            }
-        }
-        for (cell, outcome) in &self.done {
-            if !outcome.triggered {
-                continue;
-            }
-            let entry = map
-                .entry(cell.function.as_str())
-                .or_insert_with(|| (cell.function, FunctionCoverage::default()));
-            entry.1.triggered.insert((cell.call_ordinal, cell.retval, cell.errno));
-        }
-        map.into_values().collect()
     }
 }
 
@@ -295,7 +274,8 @@ impl Scheduler {
     }
 
     /// Admits a job: enumerates the plan's deterministic cells in
-    /// process-independent order, truncates at `max_cases`, and queues it.
+    /// process-independent order, truncates at `max_cases`, and queues them
+    /// as the frontier of a fresh checkpoint.
     pub fn submit(&mut self, spec: JobSpec, workload: Arc<dyn Workload>) -> JobId {
         let mut cells = spec.plan.compile().cells();
         cells.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
@@ -303,43 +283,57 @@ impl Scheduler {
         if let Some(max) = spec.max_cases {
             cells.truncate(max);
         }
-        self.admit(spec, workload, cells, None)
+        let frontier = cells.into_iter().map(|cell| FrontierCell { cell, priority: 0 }).collect();
+        self.submit_restored(spec, workload, &ExplorationStore { frontier, ..ExplorationStore::default() })
     }
 
     /// Admits a job resuming from a checkpoint: the store's frontier (in
-    /// its scheduling order) is the pending work, its executed/coverage/
-    /// cluster state is carried over as the base the new cells fold onto.
+    /// its scheduling order) is the pending work, and its executed/skipped/
+    /// coverage/cluster state seeds the job's fold.  The checkpoint header
+    /// follows the spec, not the store.
     pub fn submit_restored(&mut self, spec: JobSpec, workload: Arc<dyn Workload>, store: &ExplorationStore) -> JobId {
-        let base = RestoredBase::from_store(store);
-        let cells: Vec<FaultCell> = store
+        let executed = cell_set(&store.executed);
+        let skipped = cell_set(&store.unreached);
+        let frontier: VecDeque<FaultCell> = store
             .frontier
             .iter()
             .map(|entry| entry.cell)
-            .filter(|cell| !base.executed_set.contains(cell))
+            .filter(|cell| !executed.contains_key(&cell_key(cell)))
             .collect();
-        self.admit(spec, workload, cells, Some(base))
-    }
-
-    fn admit(
-        &mut self,
-        spec: JobSpec,
-        workload: Arc<dyn Workload>,
-        cells: Vec<FaultCell>,
-        base: Option<RestoredBase>,
-    ) -> JobId {
+        let crashes = store.clusters.iter().filter(|c| c.is_crash()).map(|c| c.count).sum();
+        let mut coverage = store.coverage.clone();
+        coverage.sort_by_key(|(symbol, _)| symbol.as_str());
+        let fold = JobFold {
+            store: ExplorationStore {
+                seed: spec.plan.seed.unwrap_or(0),
+                batch_size: spec.lease_batch.unwrap_or(self.default_lease_batch),
+                parallelism: 1,
+                halt_on_crash: spec.halt_on_crash,
+                case_budget: spec.max_cases.map(|max| max as u64),
+                universe: frontier.len() + executed.len() + skipped.len(),
+                probe_done: true,
+                crash_found: crashes > 0,
+                cases_executed: executed.len() as u64,
+                injections_performed: store.injections_performed,
+                coverage,
+                clusters: store.clusters.clone(),
+                ..ExplorationStore::default()
+            },
+            restored_clusters: store.clusters.len(),
+            crashes,
+            failures: store.clusters.iter().filter(|c| !c.is_crash()).map(|c| c.count).sum(),
+            executed,
+            skipped,
+        };
         let id = JobId(self.next_job);
         self.next_job += 1;
-        let base_executed = base.as_ref().map_or(0, |b| b.executed.len());
         let mut record = JobRecord {
-            cases_total: cells.len() + base_executed + base.as_ref().map_or(0, |b| b.skipped.len()),
-            frontier: cells.into(),
             spec,
             workload,
             state: JobState::Queued,
+            frontier,
             outstanding: HashMap::new(),
-            done: HashMap::new(),
-            skipped: HashSet::new(),
-            base,
+            fold,
             started: 0,
             issued: 0,
             requeued: 0,
@@ -427,19 +421,19 @@ impl Scheduler {
         let mut crash_halt = false;
         for outcome in result.ack.outcomes {
             crash_halt |= record.spec.halt_on_crash && outcome.outcome.is_crash();
-            if !record.already_executed(&outcome.cell) {
-                record.done.insert(outcome.cell, outcome);
-            }
+            record.fold.record(outcome);
         }
         let skipped = result.ack.skipped;
         if record.state == JobState::Cancelled || record.state == JobState::Failed {
-            record.skipped.extend(skipped);
+            record.fold.skip(&skipped);
         } else if crash_halt {
-            record.skipped.extend(skipped);
+            record.fold.skip(&skipped);
             record.skip_frontier();
             record.set_state(JobState::Done);
         } else {
-            record.requeue_cells(skipped.into_iter().filter(|c| !record.done.contains_key(c)).collect());
+            record.requeue_cells(
+                skipped.into_iter().filter(|c| !record.fold.executed.contains_key(&cell_key(c))).collect(),
+            );
         }
         record.maybe_complete();
         true
@@ -492,9 +486,7 @@ impl Scheduler {
         };
         record.panics += 1;
         if record.state.is_terminal() {
-            for cell in entry.cells {
-                record.skipped.insert(cell);
-            }
+            record.fold.skip(&entry.cells);
             return true;
         }
         record.requeue_cells(entry.cells);
@@ -524,9 +516,7 @@ impl Scheduler {
                     handle.cancel();
                 }
                 if record.state.is_terminal() {
-                    for cell in lease.cells {
-                        record.skipped.insert(cell);
-                    }
+                    record.fold.skip(&lease.cells);
                 } else {
                     record.requeue_cells(lease.cells);
                 }
@@ -577,23 +567,24 @@ impl Scheduler {
 
     pub fn snapshot(&self, job: JobId) -> Option<JobSnapshot> {
         let record = self.jobs.get(&job.0)?;
+        let fold = &record.fold;
         Some(JobSnapshot {
             id: job,
             name: record.spec.name.clone(),
             workload: record.spec.workload.clone(),
             state: record.state,
-            cases: record.cases_total,
+            cases: fold.store.universe,
             pending: record.frontier.len(),
             outstanding: record.outstanding.values().map(|l| l.cells.len()).sum(),
             progress: ProgressSnapshot {
                 started: record.started as usize,
-                finished: record.executed_count(),
-                skipped: record.skipped_count(),
-                crashes: record.crashes() as usize,
-                injections: record.injections() as usize,
+                finished: fold.executed.len(),
+                skipped: fold.skipped.len(),
+                crashes: fold.crashes as usize,
+                injections: fold.store.injections_performed as usize,
             },
             requeued: record.requeued,
-            clusters: record.merged_clusters().len(),
+            clusters: fold.store.clusters.len(),
         })
     }
 
@@ -610,71 +601,45 @@ impl Scheduler {
     }
 
     /// Serializes a job's complete state as an [`ExplorationStore`] — the
-    /// crash-safe handoff format.  The fold walks acked cells in
-    /// process-independent sort order, so a run interrupted by worker
-    /// deaths checkpoints byte-identically to an uninterrupted one.
+    /// crash-safe handoff format: the job's fold, plus its pending cells
+    /// followed by its outstanding leases' cells (in lease order) as the
+    /// frontier.
     pub fn checkpoint(&self, job: JobId) -> Option<ExplorationStore> {
         let record = self.jobs.get(&job.0)?;
-        let mut frontier: Vec<FrontierCell> =
-            record.frontier.iter().map(|cell| FrontierCell { cell: *cell, priority: 0 }).collect();
         let mut lease_ids: Vec<u64> = record.outstanding.keys().copied().collect();
         lease_ids.sort_unstable();
-        for id in lease_ids {
-            frontier.extend(record.outstanding[&id].cells.iter().map(|cell| FrontierCell { cell: *cell, priority: 0 }));
-        }
-        let mut executed = record.done_cells_sorted();
-        if let Some(base) = &record.base {
-            executed.extend(base.executed.iter().copied());
-            executed.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-            executed.dedup();
-        }
-        let mut unreached: Vec<FaultCell> = record.skipped.iter().copied().collect();
-        unreached.extend(record.base.as_ref().map_or(&[][..], |b| &b.skipped).iter().copied());
-        unreached.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        unreached.dedup();
+        let leased = lease_ids.iter().flat_map(|id| &record.outstanding[id].cells);
         Some(ExplorationStore {
-            seed: record.spec.plan.seed.unwrap_or(0),
-            batch_size: record.spec.lease_batch.unwrap_or(self.default_lease_batch),
-            parallelism: 1,
-            halt_on_crash: record.spec.halt_on_crash,
-            case_budget: record.spec.max_cases.map(|max| max as u64),
-            injection_budget: None,
-            time_budget_ms: None,
-            universe: record.cases_total,
-            batch_index: 0,
-            rng_draws: 0,
-            probe_done: true,
-            crash_found: record.crashes() > 0,
-            cases_executed: record.executed_count() as u64,
-            injections_performed: record.injections(),
-            elapsed_ms: 0,
-            frontier,
-            executed,
-            unreached,
-            pruned_functions: Vec::new(),
-            coverage: record.merged_coverage(),
-            clusters: record.merged_clusters(),
+            frontier: record
+                .frontier
+                .iter()
+                .chain(leased)
+                .map(|cell| FrontierCell { cell: *cell, priority: 0 })
+                .collect(),
+            executed: record.fold.executed.values().copied().collect(),
+            unreached: record.fold.skipped.values().copied().collect(),
+            ..record.fold.store.clone()
         })
     }
 
-    /// The job's coverage/cluster report, derived by the same deterministic
-    /// fold as [`Scheduler::checkpoint`].
+    /// The job's coverage/cluster report, read from the same fold as
+    /// [`Scheduler::checkpoint`].
     pub fn report(&self, job: JobId) -> Option<JobReport> {
         let record = self.jobs.get(&job.0)?;
-        let coverage = record.merged_coverage();
+        let fold = &record.fold;
         Some(JobReport {
             id: job,
             name: record.spec.name.clone(),
             state: record.state,
             coverage: JobCoverage {
-                universe: record.cases_total,
-                executed: record.executed_count(),
-                triggered: coverage.iter().map(|(_, f)| f.triggered.len()).sum(),
-                crashes: record.crashes() as usize,
-                failures: record.failures() as usize,
-                skipped: record.skipped_count(),
+                universe: fold.store.universe,
+                executed: fold.executed.len(),
+                triggered: fold.store.coverage.iter().map(|(_, f)| f.triggered.len()).sum(),
+                crashes: fold.crashes as usize,
+                failures: fold.failures as usize,
+                skipped: fold.skipped.len(),
             },
-            clusters: record.merged_clusters(),
+            clusters: fold.store.clusters.clone(),
         })
     }
 
@@ -712,9 +677,11 @@ impl Scheduler {
 mod tests {
     use super::*;
     use lfi_controller::FnWorkload;
+    use lfi_intern::Symbol;
     use lfi_runtime::ExitStatus;
-    use lfi_runtime::Process;
+    use lfi_runtime::{Process, Signal};
     use lfi_scenario::{FaultAction, Plan, PlanEntry, Trigger};
+    use proptest::prelude::*;
 
     fn noop_workload() -> Arc<dyn Workload> {
         FnWorkload::shared("noop", Process::new, |_| ExitStatus::Exited(0))
@@ -960,5 +927,65 @@ mod tests {
         let (next, rest) = sched.events(job, next, 16).unwrap();
         assert_eq!(next, 2);
         assert!(rest.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Leases of a 24-cell, two-function plan return random outcomes
+        /// (success, two exit codes and a crash, under three stacks, so
+        /// several clusters form); acking them in two random orders folds
+        /// to the same checkpoint bytes and the same report.
+        #[test]
+        fn the_fold_ignores_ack_order(
+            cases in prop::collection::vec((0u8..4, 0usize..3), 24),
+            batch in 1usize..6,
+            first in prop::collection::vec(any::<u64>(), 24),
+            second in prop::collection::vec(any::<u64>(), 24),
+        ) {
+            let stacks = [Vec::new(), vec![Symbol::intern("main"), Symbol::intern("read")], vec![Symbol::intern("log")]];
+            let outcome_of = |cell: &FaultCell| {
+                let index = cell.call_ordinal as usize - 1 + if cell.function.as_str() == "write" { 12 } else { 0 };
+                let (class, stack) = cases[index];
+                AckOutcome {
+                    cell: *cell,
+                    outcome: match class {
+                        0 => OutcomeClass::Success,
+                        1 => OutcomeClass::Failure(1),
+                        2 => OutcomeClass::Failure(2),
+                        _ => OutcomeClass::Crash(Signal::Segv),
+                    },
+                    injections: u64::from(stack > 0),
+                    triggered: stack > 0,
+                    stack: stacks[stack].clone(),
+                    case: case_name(cell),
+                }
+            };
+            let run = |keys: &[u64]| {
+                let mut sched = Scheduler::new(batch, Duration::from_secs(60));
+                let mut plan = plan_with_cells("read", 1..=12);
+                plan.entries.extend(plan_with_cells("write", 1..=12).entries);
+                let job = sched.submit(JobSpec::new("job", "noop", plan), noop_workload());
+                let mut leases = Vec::new();
+                while let Some(lease) = sched.next_lease(Instant::now()) {
+                    leases.push(lease);
+                }
+                let mut order: Vec<usize> = (0..leases.len()).collect();
+                order.sort_by_key(|&index| keys[index]);
+                for index in order {
+                    let lease = &leases[index];
+                    let outcomes = lease.cells.iter().map(outcome_of).collect();
+                    let ack = AckRecord { outcomes, skipped: Vec::new() };
+                    assert!(sched.ack(job, lease.lease, LeaseResult { events: Vec::new(), ack }));
+                }
+                assert_eq!(sched.state(job), Some(JobState::Done));
+                (lfi_store::encode_exploration_store(&sched.checkpoint(job).unwrap()), sched.report(job).unwrap())
+            };
+            let (first_bytes, first_report) = run(&first);
+            let (second_bytes, second_report) = run(&second);
+            prop_assert_eq!(first_report.coverage.executed, 24);
+            prop_assert_eq!(first_bytes, second_bytes);
+            prop_assert_eq!(first_report, second_report);
+        }
     }
 }

@@ -153,7 +153,10 @@ impl XmlElement {
 #[non_exhaustive]
 pub enum XmlError {
     /// The document ended unexpectedly.
-    UnexpectedEof,
+    UnexpectedEof {
+        /// Byte offset of the end of the document.
+        offset: usize,
+    },
     /// A syntax error at the given byte offset.
     Syntax {
         /// Byte offset of the error.
@@ -163,6 +166,8 @@ pub enum XmlError {
     },
     /// A closing tag did not match the element being closed.
     MismatchedTag {
+        /// Byte offset of the closing tag.
+        offset: usize,
         /// Name of the element that was open.
         open: String,
         /// Name found in the closing tag.
@@ -170,6 +175,8 @@ pub enum XmlError {
     },
     /// An unknown entity reference was encountered.
     UnknownEntity {
+        /// Byte offset of the entity's `&`.
+        offset: usize,
         /// The entity text, without `&` and `;`.
         entity: String,
     },
@@ -190,12 +197,12 @@ pub enum XmlError {
 impl fmt::Display for XmlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            XmlError::UnexpectedEof => write!(f, "unexpected end of document"),
+            XmlError::UnexpectedEof { offset } => write!(f, "unexpected end of document at byte {offset}"),
             XmlError::Syntax { offset, expected } => write!(f, "syntax error at byte {offset}: expected {expected}"),
-            XmlError::MismatchedTag { open, close } => {
-                write!(f, "mismatched closing tag: <{open}> closed by </{close}>")
+            XmlError::MismatchedTag { offset, open, close } => {
+                write!(f, "mismatched closing tag at byte {offset}: <{open}> closed by </{close}>")
             }
-            XmlError::UnknownEntity { entity } => write!(f, "unknown entity &{entity};"),
+            XmlError::UnknownEntity { offset, entity } => write!(f, "unknown entity &{entity}; at byte {offset}"),
             XmlError::NoRootElement => write!(f, "document has no root element"),
             XmlError::TrailingContent { offset } => write!(f, "content after root element at byte {offset}"),
             XmlError::TooDeep { offset } => {
@@ -240,6 +247,10 @@ impl<'a> Parser<'a> {
         self.pos += n;
     }
 
+    fn eof(&self) -> XmlError {
+        XmlError::UnexpectedEof { offset: self.bytes.len() }
+    }
+
     fn skip_whitespace(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.pos += 1;
@@ -268,7 +279,7 @@ impl<'a> Parser<'a> {
                 self.pos += i + end.len();
                 Ok(())
             }
-            None => Err(XmlError::UnexpectedEof),
+            None => Err(self.eof()),
         }
     }
 
@@ -288,7 +299,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_attribute_value(&mut self) -> Result<String, XmlError> {
-        let quote = self.peek().ok_or(XmlError::UnexpectedEof)?;
+        let quote = self.peek().ok_or_else(|| self.eof())?;
         if quote != b'"' && quote != b'\'' {
             return Err(XmlError::Syntax { offset: self.pos, expected: "a quoted attribute value" });
         }
@@ -298,11 +309,11 @@ impl<'a> Parser<'a> {
             if c == quote {
                 let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
                 self.bump(1);
-                return unescape(&raw);
+                return unescape(&raw, start);
             }
             self.pos += 1;
         }
-        Err(XmlError::UnexpectedEof)
+        Err(self.eof())
     }
 
     /// Parses the element at the cursor, `depth` levels below the document
@@ -343,16 +354,17 @@ impl<'a> Parser<'a> {
                     let value = self.parse_attribute_value()?;
                     element.attributes.push((attr_name, value));
                 }
-                None => return Err(XmlError::UnexpectedEof),
+                None => return Err(self.eof()),
             }
         }
 
         // Children until the matching closing tag.
         loop {
             if self.pos >= self.bytes.len() {
-                return Err(XmlError::UnexpectedEof);
+                return Err(self.eof());
             }
             if self.starts_with("</") {
+                let offset = self.pos;
                 self.bump(2);
                 let close = self.parse_name()?;
                 self.skip_whitespace();
@@ -361,7 +373,7 @@ impl<'a> Parser<'a> {
                 }
                 self.bump(1);
                 if close != element.name {
-                    return Err(XmlError::MismatchedTag { open: element.name, close });
+                    return Err(XmlError::MismatchedTag { offset, open: element.name, close });
                 }
                 return Ok(element);
             } else if self.starts_with("<!--") {
@@ -377,7 +389,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-                let text = unescape(&raw)?;
+                let text = unescape(&raw, start)?;
                 if !text.trim().is_empty() {
                     element.children.push(XmlNode::Text(text));
                 }
@@ -386,17 +398,20 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn unescape(s: &str) -> Result<String, XmlError> {
+/// Resolves the entities of `s`, which starts at byte `base` of the
+/// document.
+fn unescape(s: &str, base: usize) -> Result<String, XmlError> {
     if !s.contains('&') {
         return Ok(s.to_owned());
     }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.char_indices();
-    while let Some((_, c)) = chars.next() {
+    while let Some((at, c)) = chars.next() {
         if c != '&' {
             out.push(c);
             continue;
         }
+        let unknown = |entity: &str| XmlError::UnknownEntity { offset: base + at, entity: entity.to_owned() };
         let mut entity = String::new();
         let mut closed = false;
         for (_, e) in chars.by_ref() {
@@ -407,7 +422,7 @@ fn unescape(s: &str) -> Result<String, XmlError> {
             entity.push(e);
         }
         if !closed {
-            return Err(XmlError::UnknownEntity { entity });
+            return Err(unknown(&entity));
         }
         match entity.as_str() {
             "amp" => out.push('&'),
@@ -417,20 +432,14 @@ fn unescape(s: &str) -> Result<String, XmlError> {
             "apos" => out.push('\''),
             other => {
                 if let Some(hex) = other.strip_prefix("#x") {
-                    let code = u32::from_str_radix(hex, 16)
-                        .ok()
-                        .and_then(char::from_u32)
-                        .ok_or_else(|| XmlError::UnknownEntity { entity: other.to_owned() })?;
+                    let code =
+                        u32::from_str_radix(hex, 16).ok().and_then(char::from_u32).ok_or_else(|| unknown(other))?;
                     out.push(code);
                 } else if let Some(dec) = other.strip_prefix('#') {
-                    let code = dec
-                        .parse::<u32>()
-                        .ok()
-                        .and_then(char::from_u32)
-                        .ok_or_else(|| XmlError::UnknownEntity { entity: other.to_owned() })?;
+                    let code = dec.parse::<u32>().ok().and_then(char::from_u32).ok_or_else(|| unknown(other))?;
                     out.push(code);
                 } else {
-                    return Err(XmlError::UnknownEntity { entity: other.to_owned() });
+                    return Err(unknown(other));
                 }
             }
         }
@@ -545,10 +554,12 @@ mod tests {
     #[test]
     fn malformed_documents_are_rejected() {
         assert!(matches!(parse(""), Err(XmlError::NoRootElement)));
-        assert!(matches!(parse("<a><b></a>"), Err(XmlError::MismatchedTag { .. })));
-        assert!(parse("<a").is_err());
+        assert!(matches!(parse("<a><b></a>"), Err(XmlError::MismatchedTag { offset: 6, .. })));
+        assert_eq!(parse("<a"), Err(XmlError::UnexpectedEof { offset: 2 }));
+        assert!(matches!(parse("<a>text"), Err(XmlError::UnexpectedEof { offset: 7 })));
         assert!(parse("<a x=3></a>").is_err());
-        assert!(matches!(parse("<a>&bogus;</a>"), Err(XmlError::UnknownEntity { .. })));
+        assert!(matches!(parse("<a>&bogus;</a>"), Err(XmlError::UnknownEntity { offset: 3, .. })));
+        assert!(matches!(parse("<a b='x&q;'/>"), Err(XmlError::UnknownEntity { offset: 7, .. })));
         assert!(matches!(parse("<a /><b />"), Err(XmlError::TrailingContent { .. })));
         assert!(parse("<a></a junk>").is_err());
     }
@@ -571,10 +582,10 @@ mod tests {
     #[test]
     fn error_display_is_nonempty() {
         let errors = [
-            XmlError::UnexpectedEof,
+            XmlError::UnexpectedEof { offset: 2 },
             XmlError::Syntax { offset: 3, expected: "x" },
-            XmlError::MismatchedTag { open: "a".into(), close: "b".into() },
-            XmlError::UnknownEntity { entity: "q".into() },
+            XmlError::MismatchedTag { offset: 6, open: "a".into(), close: "b".into() },
+            XmlError::UnknownEntity { offset: 3, entity: "q".into() },
             XmlError::NoRootElement,
             XmlError::TrailingContent { offset: 9 },
             XmlError::TooDeep { offset: 4 },

@@ -15,11 +15,12 @@ use lfi::corpus::{build_kernel, build_libc_scaled};
 use lfi::explore::{CrashCluster, ExplorationDelta, ExplorationStore, FrontierCell, FunctionCoverage, OutcomeClass};
 use lfi::intern::Symbol;
 use lfi::isa::Platform;
-use lfi::profile::{FaultProfile, ProfileKey, ProfileStore};
+use lfi::profile::xml::XmlError;
+use lfi::profile::{FaultProfile, ProfileError, ProfileKey, ProfileStore};
 use lfi::profiler::ProfilerOptions;
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
-use lfi::scenario::{FaultCell, Plan};
+use lfi::scenario::{FaultCell, Plan, ScenarioError};
 use lfi::store::{encode_exploration_store, format, ExplorationJournal, Journal, Record};
 use lfi::Lfi;
 
@@ -374,13 +375,29 @@ fn profile_document() -> String {
 }
 
 /// Runs `text` through both XML parsers.  Each must return `Ok` or its
-/// typed error, which renders a message; a panic fails the test.
+/// typed error, which renders a message and, for an XML error, names a
+/// byte offset inside the input; a panic fails the test.
 fn parses_or_fails_typed(text: &str) {
+    let within = |error: &XmlError| match error {
+        XmlError::UnexpectedEof { offset }
+        | XmlError::MismatchedTag { offset, .. }
+        | XmlError::UnknownEntity { offset, .. }
+        | XmlError::Syntax { offset, .. }
+        | XmlError::TrailingContent { offset }
+        | XmlError::TooDeep { offset } => *offset <= text.len(),
+        _ => true,
+    };
     if let Err(error) = Plan::from_xml(text) {
         assert!(!error.to_string().is_empty(), "{text:?}");
+        if let ScenarioError::Xml(xml) = &error {
+            assert!(within(xml), "{xml:?} lies outside {text:?}");
+        }
     }
     if let Err(error) = FaultProfile::from_xml(text) {
         assert!(!error.to_string().is_empty(), "{text:?}");
+        if let ProfileError::Xml(xml) = &error {
+            assert!(within(xml), "{xml:?} lies outside {text:?}");
+        }
     }
 }
 
