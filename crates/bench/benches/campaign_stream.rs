@@ -3,8 +3,9 @@
 //! * `inline_loop`    — the pre-session baseline: a hand-rolled serial loop
 //!   (setup + interceptor + workload per case) with no threads, channel or
 //!   events — what the old blocking `Campaign::run` compiled down to;
-//! * `blocking_run`   — `Campaign::run`, now a thin wrapper that collects
-//!   the event stream into a report;
+//! * `blocking_run`   — `Campaign::run`, a thin wrapper that collects the
+//!   event stream into a report; at its default `parallelism(1)` the
+//!   session spawns no thread and runs every case on the calling thread;
 //! * `streaming_report` — `Campaign::start(...).into_report()`, the same
 //!   path spelled out;
 //! * `streaming_drain` — `Campaign::start` with the events consumed one by
@@ -13,7 +14,7 @@
 //! The acceptance bar for the session redesign is that the streaming paths
 //! stay within a few percent of the blocking baseline: the per-case cost
 //! (process setup, interceptor synthesis, a few hundred dispatched calls)
-//! must dwarf the channel and worker-handoff overhead.
+//! must dwarf the session's claim and event bookkeeping.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lfi_controller::{Campaign, CaseEvent, FnWorkload, Injector, TestCase};

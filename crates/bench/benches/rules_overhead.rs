@@ -12,7 +12,7 @@
 //! isolates exactly the marginal cost of rule + machine evaluation.  The
 //! acceptance bar for the rules layer is `active <= 1.10x passive`: policy
 //! evaluation must stay in the noise next to state folding, because every
-//! campaign worker thread pays it inline on the observer hooks.
+//! thread that executes campaign cases pays it inline on the observer hooks.
 //!
 //! # Methodology
 //!

@@ -6,13 +6,13 @@
 //! [`ScenarioGenerator`](lfi_scenario::generator::ScenarioGenerator)),
 //! [`CampaignObserver`] hooks, an [`ExecutionPolicy`], and a parallelism
 //! degree for running independent test cases on worker threads.  Execution
-//! is session-based: [`Campaign::start`] hands a [`Workload`] to a worker
-//! pool and returns a streaming [`CampaignRun`]; the blocking entry points
+//! is session-based: [`Campaign::start`] hands a [`Workload`] to a
+//! streaming [`CampaignRun`] that runs cases on the thread pulling it (plus
+//! helpers under `parallelism(n)`); the blocking entry points
 //! ([`Campaign::run`], [`Campaign::run_workload`]) are thin
 //! collect-into-report wrappers over it.
 
 use std::fmt;
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use lfi_intern::Symbol;
@@ -21,7 +21,6 @@ use lfi_runtime::{ExitStatus, Process};
 use lfi_scenario::generator::ScenarioGenerator;
 use lfi_scenario::Plan;
 
-use crate::session::RunConfig;
 use crate::{CampaignRun, FnWorkload, InjectionRecord, ProgressSnapshot, TestLog, Workload};
 
 /// One fault-injection test case: a name and the scenario to apply.
@@ -168,9 +167,9 @@ pub trait CampaignObserver: Send + Sync {
     /// A test case finished.
     fn on_outcome(&self, _outcome: &TestOutcome) {}
 
-    /// Asked once per executed case, on the worker thread, right after the
-    /// case's [`CampaignObserver::on_outcome`] hooks and *before* its
-    /// events ship to the stream consumer.  Returning `true` halts the run
+    /// Asked once per executed case, on the thread that executed it, right
+    /// after the case's [`CampaignObserver::on_outcome`] hooks and *before*
+    /// its events ship to the stream consumer.  Returning `true` halts the run
     /// exactly like a [`CancelHandle`](crate::CancelHandle) cancellation —
     /// no further case is claimed; in-flight cases (under `parallelism(n)`)
     /// still finish and are reported.
@@ -197,9 +196,9 @@ pub trait CampaignObserver: Send + Sync {
 /// further triggers demoted to pass-throughs, and no new case is scheduled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutionPolicy {
-    stop_on_first_crash: bool,
-    max_cases: Option<usize>,
-    injection_budget: Option<usize>,
+    pub(crate) stop_on_first_crash: bool,
+    pub(crate) max_cases: Option<usize>,
+    pub(crate) injection_budget: Option<usize>,
 }
 
 impl ExecutionPolicy {
@@ -271,11 +270,11 @@ impl ExecutionPolicy {
 /// ```
 #[derive(Default)]
 pub struct Campaign {
-    cases: Vec<TestCase>,
-    observers: Vec<Arc<dyn CampaignObserver>>,
-    policy: ExecutionPolicy,
-    parallelism: usize,
-    capture_calls: bool,
+    pub(crate) cases: Vec<TestCase>,
+    pub(crate) observers: Vec<Arc<dyn CampaignObserver>>,
+    pub(crate) policy: ExecutionPolicy,
+    pub(crate) parallelism: usize,
+    pub(crate) capture_calls: bool,
 }
 
 impl Campaign {
@@ -347,8 +346,11 @@ impl Campaign {
     }
 
     /// Runs up to `workers` test cases concurrently, each on its own
-    /// [`Process`] (0 and 1 both mean serial).  Outcomes are reported in
-    /// test-case order regardless of completion order.
+    /// [`Process`] (0 and 1 both mean serial).  The thread that drives the
+    /// session is one of the workers, so `parallelism(n)` spawns n−1 helper
+    /// threads and a serial session spawns none: every case then runs on
+    /// the caller's thread.  Outcomes are reported in test-case order
+    /// regardless of completion order.
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers;
         self
@@ -369,11 +371,12 @@ impl Campaign {
         &self.cases
     }
 
-    /// Starts the campaign as a streaming session: a worker pool (sized by
-    /// [`Campaign::parallelism`]) drives the [`Workload`] case by case, and
-    /// the returned [`CampaignRun`] yields [`CaseEvent`](crate::CaseEvent)s
-    /// incrementally over a bounded channel.  See [`CampaignRun`] for the
-    /// event ordering and cancellation contracts.
+    /// Starts the campaign as a streaming session: the returned
+    /// [`CampaignRun`] yields [`CaseEvent`](crate::CaseEvent)s
+    /// incrementally, executing cases on the thread that pulls it, helped
+    /// by n−1 helper threads under [`Campaign::parallelism`]`(n)`.  A serial
+    /// session runs nothing until its first pull.  See [`CampaignRun`] for
+    /// the event ordering and cancellation contracts.
     pub fn start(self, workload: impl Workload + 'static) -> CampaignRun {
         self.start_arc(Arc::new(workload))
     }
@@ -381,22 +384,7 @@ impl Campaign {
     /// [`Campaign::start`] for a workload that is already shared (e.g. one
     /// pulled from a [`WorkloadRegistry`](crate::WorkloadRegistry)).
     pub fn start_arc(self, workload: Arc<dyn Workload>) -> CampaignRun {
-        let limit = self.policy.max_cases.map_or(self.cases.len(), |max| max.min(self.cases.len()));
-        let mut cases = self.cases;
-        cases.truncate(limit);
-        let workers = self.parallelism.clamp(1, cases.len().max(1));
-        let budget = self.policy.injection_budget.map(|budget| Arc::new(AtomicUsize::new(budget)));
-        CampaignRun::launch(
-            RunConfig {
-                cases,
-                observers: self.observers,
-                stop_on_first_crash: self.policy.stop_on_first_crash,
-                capture_calls: self.capture_calls,
-                budget,
-                workers,
-            },
-            workload,
-        )
+        CampaignRun::launch(self, workload)
     }
 
     /// Runs the campaign to completion under a [`Workload`] and collects the

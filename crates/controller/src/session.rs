@@ -1,16 +1,22 @@
 //! The streaming campaign session: [`Campaign::start`] returns a
-//! [`CampaignRun`] — an iterator of [`CaseEvent`]s backed by a bounded
-//! channel — instead of blocking until every case has finished.
+//! [`CampaignRun`] — an iterator of [`CaseEvent`]s — instead of blocking
+//! until every case has finished.
+//!
+//! The thread that drives the session is one of its workers: pulling the
+//! iterator claims and executes cases inline, so a `parallelism(1)` session
+//! spawns no thread.  `parallelism(n)` adds n−1 helper threads that run the
+//! same claim and execute steps and stream their events over a bounded
+//! channel.
 //!
 //! [`Campaign::start`]: crate::Campaign::start
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::{CampaignObserver, CampaignReport, Injector, TestCase, TestOutcome, Workload};
+use crate::{Campaign, CampaignObserver, CampaignReport, Injector, TestCase, TestOutcome, Workload};
 
 /// One incremental event from a running campaign session.
 ///
@@ -88,12 +94,6 @@ const REASON_CANCELLED: u8 = 1;
 const REASON_CRASH: u8 = 2;
 const REASON_BUDGET: u8 = 3;
 
-// Per-case scheduling states.
-const STATE_PENDING: u8 = 0;
-const STATE_RUNNING: u8 = 1;
-const STATE_DONE: u8 = 2;
-const STATE_SKIPPED: u8 = 3;
-
 /// A clonable handle that cancels a [`CampaignRun`]: no further case is
 /// claimed, cases already in flight finish and are reported, and every
 /// never-executed case surfaces as a `Skipped` event (and in
@@ -124,7 +124,7 @@ impl CancelHandle {
     /// True once the run is stopping (for any reason, not only
     /// cancellation).
     pub fn is_stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::Acquire)
+        self.shared.stop_reason.load(Ordering::Acquire) != REASON_NONE
     }
 }
 
@@ -187,17 +187,17 @@ impl RunProgress {
     }
 }
 
-/// State shared between the session handle, its workers and cancel handles.
+/// State shared between the session handle, its helpers and cancel handles.
 struct RunShared {
     cases: Vec<TestCase>,
     observers: Vec<Arc<dyn CampaignObserver>>,
     stop_on_first_crash: bool,
     capture_calls: bool,
     budget: Option<Arc<AtomicUsize>>,
+    /// Claims are always the prefix `[0, next)` of `cases` (`next` may run
+    /// past the end), so the never-claimed cases are `next..cases.len()`.
     next: AtomicUsize,
-    stop: AtomicBool,
     stop_reason: AtomicU8,
-    states: Vec<AtomicU8>,
     started: AtomicUsize,
     finished: AtomicUsize,
     skipped: AtomicUsize,
@@ -212,7 +212,6 @@ impl RunShared {
         let _ = self
             .stop_reason
             .compare_exchange(REASON_NONE, reason, Ordering::AcqRel, Ordering::Acquire);
-        self.stop.store(true, Ordering::Release);
     }
 
     fn skip_reason(&self) -> SkipReason {
@@ -222,23 +221,31 @@ impl RunShared {
             _ => SkipReason::Cancelled,
         }
     }
-}
 
-/// Configuration handed from the [`Campaign`](crate::Campaign) builder to
-/// [`CampaignRun::launch`].
-pub(crate) struct RunConfig {
-    pub cases: Vec<TestCase>,
-    pub observers: Vec<Arc<dyn CampaignObserver>>,
-    pub stop_on_first_crash: bool,
-    pub capture_calls: bool,
-    pub budget: Option<Arc<AtomicUsize>>,
-    pub workers: usize,
+    /// The one claim step of every worker: unless the run is stopping,
+    /// takes the next case and returns its `Started` event.
+    fn claim(&self) -> Option<CaseEvent> {
+        if self.stop_reason.load(Ordering::Acquire) != REASON_NONE {
+            return None;
+        }
+        let index = self.next.fetch_add(1, Ordering::Relaxed);
+        let case = self.cases.get(index)?;
+        self.started.fetch_add(1, Ordering::AcqRel);
+        Some(CaseEvent::Started { index, name: case.name.clone() })
+    }
 }
 
 /// A running campaign session: iterate it for incremental [`CaseEvent`]s,
 /// poll [`CampaignRun::progress`], cancel through a
 /// [`CampaignRun::cancel_handle`], and collapse the remainder into a
 /// [`CampaignReport`] with [`CampaignRun::into_report`].
+///
+/// The thread that drives the session (iterating it, or calling
+/// `into_report`) is its worker 0: each pull either claims a case and
+/// yields its `Started` event, or executes the case claimed by the previous
+/// pull and yields its events.  `parallelism(n)` adds n−1 helper threads
+/// that claim and execute cases the same way and stream their events over a
+/// bounded channel, which the driving thread drains between its own cases.
 ///
 /// # Event ordering contract
 ///
@@ -263,8 +270,8 @@ pub(crate) struct RunConfig {
 /// claiming further cases; in-flight cases finish and are reported.  Events
 /// already queued are still delivered to an iterator, and the final report
 /// accounts for every scheduled case: `outcomes.len() + cases_skipped ==
-/// scheduled cases`.  The event channel is bounded, so a slow consumer
-/// paces the workers instead of buffering unboundedly.
+/// scheduled cases`.  The helpers' event channel is bounded, so a slow
+/// consumer paces them instead of buffering unboundedly.
 ///
 /// # Control-plane contract
 ///
@@ -272,23 +279,22 @@ pub(crate) struct RunConfig {
 /// into a running campaign.  Two attachment points exist, with different
 /// guarantees:
 ///
-/// * **Observer side (worker thread, deterministic).**  A
+/// * **Observer side (executing thread, deterministic).**  A
 ///   [`CampaignObserver`] sees each executed case's hooks *synchronously on
-///   the worker thread* and can stop the run via
+///   the thread that executes the case* and can stop the run via
 ///   [`CampaignObserver::should_halt`], which is honoured before the case's
-///   events ship.  Because workers run ahead of the stream consumer (up to
-///   the channel bound), this is the only attachment point where a halt
-///   decision is deterministic at `parallelism(1)`: the halt lands before
-///   the next case is claimed, so fixed-seed serial reruns halt after the
-///   identical case and a rule engine evaluated in these hooks produces a
+///   events ship.  The halt lands before the next case is claimed, so at
+///   `parallelism(1)` fixed-seed serial reruns halt after the identical
+///   case and a rule engine evaluated in these hooks produces a
 ///   byte-identical decision log.
-/// * **Consumer side (event stream, racy by design).**  A consumer
-///   iterating the run may call [`CancelHandle::cancel`] in response to an
-///   event, but the workers have typically run ahead by then: which cases
-///   were already claimed — and therefore still finish — depends on
-///   scheduling, even at `parallelism(1)`.  Consumer-side control is
-///   appropriate for coarse interventions (budget overruns, operator
-///   stops), not for decision streams that must replay.
+/// * **Consumer side (event stream).**  A consumer iterating the run may
+///   call [`CancelHandle::cancel`] in response to an event.  At
+///   `parallelism(1)` nothing runs ahead of the consumer: the case whose
+///   `Started` was just yielded still executes, and the cancel lands before
+///   the next claim.  At `parallelism(n)` helpers have typically run ahead
+///   by then, so which cases were already claimed — and therefore still
+///   finish — depends on scheduling.  Consumer-side control is appropriate
+///   for coarse interventions (budget overruns, operator stops).
 ///
 /// Action delivery is **at most once per event**: an observer hook fires
 /// exactly once per executed case event, a skipped case fires no hooks, and
@@ -301,26 +307,33 @@ pub(crate) struct RunConfig {
 /// drained.
 pub struct CampaignRun {
     shared: Arc<RunShared>,
+    workload: Arc<dyn Workload>,
+    /// The helpers' event bursts; `None` once every helper has been joined.
     receiver: Option<Receiver<Vec<CaseEvent>>>,
-    workers: Vec<JoinHandle<()>>,
+    helpers: Vec<JoinHandle<()>>,
+    /// The case whose `Started` the driving thread yielded last; the next
+    /// pull executes it.
+    claimed: Option<usize>,
     slots: Vec<Option<TestOutcome>>,
     skipped: usize,
     pending: VecDeque<CaseEvent>,
 }
 
 impl CampaignRun {
-    /// Spawns the worker pool and returns the streaming session handle.
-    pub(crate) fn launch(config: RunConfig, workload: Arc<dyn Workload>) -> CampaignRun {
-        let case_count = config.cases.len();
+    /// Spawns the helper threads (one fewer than the campaign's
+    /// parallelism) and returns the streaming session handle.
+    pub(crate) fn launch(campaign: Campaign, workload: Arc<dyn Workload>) -> CampaignRun {
+        let Campaign { mut cases, observers, policy, parallelism, capture_calls } = campaign;
+        cases.truncate(policy.max_cases.unwrap_or(usize::MAX));
+        let workers = parallelism.clamp(1, cases.len().max(1));
+        let case_count = cases.len();
         let shared = Arc::new(RunShared {
-            states: (0..case_count).map(|_| AtomicU8::new(STATE_PENDING)).collect(),
-            cases: config.cases,
-            observers: config.observers,
-            stop_on_first_crash: config.stop_on_first_crash,
-            capture_calls: config.capture_calls,
-            budget: config.budget,
+            cases,
+            observers,
+            stop_on_first_crash: policy.stop_on_first_crash,
+            capture_calls,
+            budget: policy.injection_budget.map(|budget| Arc::new(AtomicUsize::new(budget))),
             next: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
             stop_reason: AtomicU8::new(REASON_NONE),
             started: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
@@ -331,25 +344,39 @@ impl CampaignRun {
         // Each message is one case's burst of events (`Started` alone, then
         // the post-run injections + outcome together), so the per-case
         // channel handoffs stay constant however chatty the injection log
-        // is.  The bound paces producers against a slow consumer without
-        // ever deadlocking a worker against its own case's events.
-        let (sender, receiver) = std::sync::mpsc::sync_channel((config.workers * 4).max(16));
-        let workers = (0..config.workers)
+        // is.  The bound gives each helper several cases of slack while the
+        // driving thread runs a case of its own.  With no helpers the last
+        // sender drops at launch, and the channel reads as disconnected.
+        let (sender, receiver) = std::sync::mpsc::sync_channel((workers * 4).max(16));
+        let helpers = (1..workers)
             .map(|worker| {
                 let shared = Arc::clone(&shared);
                 let workload = Arc::clone(&workload);
                 let sender = sender.clone();
                 std::thread::Builder::new()
                     .name(format!("lfi-campaign-{worker}"))
-                    .spawn(move || worker_loop(&shared, workload.as_ref(), &sender))
-                    .expect("campaign worker thread spawns")
+                    .spawn(move || {
+                        // A failed send means the session was dropped (which
+                        // halts the run first): stop quietly.
+                        while let Some(started) = shared.claim() {
+                            let index = started.index();
+                            if sender.send(vec![started]).is_err()
+                                || sender.send(execute_case(&shared, workload.as_ref(), index)).is_err()
+                            {
+                                return;
+                            }
+                        }
+                    })
+                    .expect("campaign helper thread spawns")
             })
             .collect();
         drop(sender);
         CampaignRun {
             shared,
+            workload,
             receiver: Some(receiver),
-            workers,
+            helpers,
+            claimed: None,
             slots: (0..case_count).map(|_| None).collect(),
             skipped: 0,
             pending: VecDeque::new(),
@@ -384,29 +411,18 @@ impl CampaignRun {
         self.shared.cases.len()
     }
 
-    /// Drains every remaining event and collapses the session into the
+    /// Runs every remaining case and collapses the session into the
     /// blocking report: outcomes in case order plus the skipped-case count.
-    /// Undelivered events are absorbed by value — the blocking wrappers
-    /// never pay the retain-and-yield clone the iterator path needs.
+    /// Events are absorbed by value — the blocking wrappers never pay the
+    /// retain-and-yield clone the iterator path needs.
     ///
     /// # Panics
     ///
-    /// Re-raises a worker thread's panic (i.e. a panicking
-    /// [`Workload`] hook), like the pre-session blocking driver did.
+    /// Re-raises a panicking [`Workload`] hook, whether it ran on this
+    /// thread or on a helper.
     pub fn into_report(mut self) -> CampaignReport {
-        while let Some(event) = self.pending.pop_front() {
+        while let Some(event) = self.pull() {
             self.absorb_owned(event);
-        }
-        if let Some(receiver) = self.receiver.take() {
-            for burst in receiver.iter() {
-                for event in burst {
-                    self.absorb_owned(event);
-                }
-            }
-            self.finish();
-            while let Some(event) = self.pending.pop_front() {
-                self.absorb_owned(event);
-            }
         }
         let progress = self.progress().snapshot();
         CampaignReport {
@@ -414,6 +430,32 @@ impl CampaignRun {
             cases_skipped: self.skipped,
             progress,
         }
+    }
+
+    /// The one refill step behind [`Iterator::next`] and
+    /// [`CampaignRun::into_report`]: the next event, or `None` once the run
+    /// is over.  Executes the case claimed by the previous pull; otherwise
+    /// takes a ready helper burst, else claims a case, else waits for the
+    /// helpers and finishes the run.
+    fn pull(&mut self) -> Option<CaseEvent> {
+        while self.pending.is_empty() {
+            let Some(receiver) = &self.receiver else { break };
+            if let Some(index) = self.claimed.take() {
+                self.pending.extend(execute_case(&self.shared, self.workload.as_ref(), index));
+            } else if let Ok(burst) = receiver.try_recv() {
+                self.pending.extend(burst);
+            } else if let Some(started) = self.shared.claim() {
+                self.claimed = Some(started.index());
+                self.pending.push_back(started);
+            } else if let Ok(burst) = receiver.recv() {
+                self.pending.extend(burst);
+            } else {
+                // Every helper dropped its sender: the run is complete.
+                self.receiver = None;
+                self.finish();
+            }
+        }
+        self.pending.pop_front()
     }
 
     /// Folds a delivered event into the session-side report state (the
@@ -435,26 +477,22 @@ impl CampaignRun {
         }
     }
 
-    /// Joins the drained workers — re-raising the first worker panic, so a
+    /// Joins the drained helpers — re-raising the first helper panic, so a
     /// panicking [`Workload`] hook surfaces to the caller instead of
     /// silently truncating the report — and synthesizes `Skipped` events
     /// for every case that was never claimed, in ascending case order.
     fn finish(&mut self) {
-        for handle in self.workers.drain(..) {
+        for handle in self.helpers.drain(..) {
             if let Err(payload) = handle.join() {
                 std::panic::resume_unwind(payload);
             }
         }
+        let cases = &self.shared.cases;
+        let claimed = self.shared.next.load(Ordering::Relaxed).min(cases.len());
         let reason = self.shared.skip_reason();
-        for (index, state) in self.shared.states.iter().enumerate() {
-            if state.load(Ordering::Acquire) == STATE_PENDING {
-                self.shared.skipped.fetch_add(1, Ordering::AcqRel);
-                self.pending.push_back(CaseEvent::Skipped {
-                    index,
-                    name: self.shared.cases[index].name.clone(),
-                    reason,
-                });
-            }
+        self.shared.skipped.fetch_add(cases.len() - claimed, Ordering::AcqRel);
+        for (index, case) in cases.iter().enumerate().skip(claimed) {
+            self.pending.push_back(CaseEvent::Skipped { index, name: case.name.clone(), reason });
         }
     }
 }
@@ -463,18 +501,7 @@ impl Iterator for CampaignRun {
     type Item = CaseEvent;
 
     fn next(&mut self) -> Option<CaseEvent> {
-        while self.pending.is_empty() {
-            let Some(receiver) = &self.receiver else { break };
-            match receiver.recv() {
-                Ok(burst) => self.pending.extend(burst),
-                Err(_) => {
-                    // Every worker dropped its sender: the run is complete.
-                    self.receiver = None;
-                    self.finish();
-                }
-            }
-        }
-        let event = self.pending.pop_front();
+        let event = self.pull();
         if let Some(event) = &event {
             self.absorb(event);
         }
@@ -485,12 +512,12 @@ impl Iterator for CampaignRun {
 impl Drop for CampaignRun {
     fn drop(&mut self) {
         // Dropping mid-stream is a cancellation: stop claiming, unblock any
-        // worker parked on the bounded channel, and reap the threads.  A
-        // worker panic still surfaces (like `std::thread::scope`) unless
+        // helper parked on the bounded channel, and reap the threads.  A
+        // helper panic still surfaces (like `std::thread::scope`) unless
         // this drop is itself part of a panic unwind.
         self.shared.halt(REASON_CANCELLED);
         self.receiver = None;
-        for handle in self.workers.drain(..) {
+        for handle in self.helpers.drain(..) {
             if let Err(payload) = handle.join() {
                 if !std::thread::panicking() {
                     std::panic::resume_unwind(payload);
@@ -509,48 +536,10 @@ impl std::fmt::Debug for CampaignRun {
     }
 }
 
-/// Delivers one case's burst of events, blocking while the bounded channel
-/// is full (this is the backpressure that lets a consumer pace the
-/// workers).  Returns `false` when the receiver is gone (the session was
-/// dropped) — the worker should wind down.  Dropping the receiver wakes
-/// parked senders, so a dropped session never wedges its workers.
-fn deliver(shared: &RunShared, sender: &SyncSender<Vec<CaseEvent>>, burst: Vec<CaseEvent>) -> bool {
-    if sender.send(burst).is_err() {
-        shared.halt(REASON_CANCELLED);
-        return false;
-    }
-    true
-}
-
-/// The worker loop: claim cases, execute them through the workload, stream
-/// events.
-fn worker_loop(shared: &RunShared, workload: &dyn Workload, sender: &SyncSender<Vec<CaseEvent>>) {
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        let index = shared.next.fetch_add(1, Ordering::Relaxed);
-        let Some(case) = shared.cases.get(index) else { break };
-        shared.states[index].store(STATE_RUNNING, Ordering::Release);
-        shared.started.fetch_add(1, Ordering::AcqRel);
-        if !deliver(shared, sender, vec![CaseEvent::Started { index, name: case.name.clone() }]) {
-            break;
-        }
-        if !execute_case(shared, workload, sender, index, case) {
-            break;
-        }
-    }
-}
-
-/// Executes one claimed case end to end and streams its events.  Returns
-/// `false` when the event channel is gone.
-fn execute_case(
-    shared: &RunShared,
-    workload: &dyn Workload,
-    sender: &SyncSender<Vec<CaseEvent>>,
-    index: usize,
-    case: &TestCase,
-) -> bool {
+/// The one execute step of every worker: runs one claimed case end to end
+/// on the calling thread and returns its events.
+fn execute_case(shared: &RunShared, workload: &dyn Workload, index: usize) -> Vec<CaseEvent> {
+    let case = &shared.cases[index];
     let mut process = workload.setup(case);
     let injector = Injector::with_budget(&case.plan, shared.budget.clone());
     process.preload(injector.synthesize_interceptor());
@@ -558,13 +547,8 @@ fn execute_case(
         process.set_call_log_enabled(true);
     }
     if !workload.health_check(&mut process) {
-        shared.states[index].store(STATE_SKIPPED, Ordering::Release);
         shared.skipped.fetch_add(1, Ordering::AcqRel);
-        return deliver(
-            shared,
-            sender,
-            vec![CaseEvent::Skipped { index, name: case.name.clone(), reason: SkipReason::Unhealthy }],
-        );
+        return vec![CaseEvent::Skipped { index, name: case.name.clone(), reason: SkipReason::Unhealthy }];
     }
     for observer in &shared.observers {
         observer.on_test_start(case);
@@ -594,7 +578,6 @@ fn execute_case(
     if crashed {
         shared.crashes.fetch_add(1, Ordering::AcqRel);
     }
-    shared.states[index].store(STATE_DONE, Ordering::Release);
     shared.finished.fetch_add(1, Ordering::AcqRel);
     // Stop decisions happen before the events ship, so with one worker no
     // further case can slip in ahead of the halt (deterministic streams).
@@ -612,5 +595,5 @@ fn execute_case(
         burst.push(CaseEvent::Injection { index, record: record.clone() });
     }
     burst.push(CaseEvent::Outcome { index, outcome });
-    deliver(shared, sender, burst)
+    burst
 }

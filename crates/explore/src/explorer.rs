@@ -556,9 +556,9 @@ impl Explorer {
     }
 
     /// Attaches a [`CampaignObserver`] to every batch campaign this explorer
-    /// runs (the probe included).  Hooks fire on the campaign worker
-    /// threads, per the observer contract; at `parallelism(1)` they fire in
-    /// deterministic case order.  Observers are runtime-only state: they are
+    /// runs (the probe included).  Hooks fire on the thread that executes
+    /// each case, per the observer contract; at `parallelism(1)` that is the
+    /// caller's thread and they fire in deterministic case order.  Observers are runtime-only state: they are
     /// not captured by [`Explorer::store`], so re-attach after
     /// [`Explorer::resume`].
     pub fn attach_observer(mut self, observer: Arc<dyn CampaignObserver>) -> Self {
@@ -1191,6 +1191,56 @@ mod tests {
         assert_eq!(failure.function.as_str(), "read");
         assert_eq!(failure.outcome, OutcomeClass::Failure(1));
         assert!(explorer.crash_found());
+    }
+
+    #[test]
+    fn serial_steps_run_every_case_on_the_calling_thread() {
+        /// Records the thread behind every hook it is wired into.
+        #[derive(Default)]
+        struct Threads(std::sync::Mutex<Vec<std::thread::ThreadId>>);
+
+        impl Threads {
+            fn record(&self) {
+                self.0.lock().unwrap().push(std::thread::current().id());
+            }
+        }
+
+        impl CampaignObserver for Threads {
+            fn on_test_start(&self, _case: &TestCase) {
+                self.record();
+            }
+
+            fn on_injection(&self, _case: &TestCase, _record: &lfi_controller::InjectionRecord) {
+                self.record();
+            }
+
+            fn on_outcome(&self, _outcome: &TestOutcome) {
+                self.record();
+            }
+        }
+
+        let threads = Arc::new(Threads::default());
+        let mut explorer = explorer().attach_observer(threads.clone());
+        // The probe, then one frontier batch.
+        for _ in 0..2 {
+            let (in_setup, in_run) = (Arc::clone(&threads), Arc::clone(&threads));
+            let setup = move || {
+                in_setup.record();
+                setup()
+            };
+            let workload = move |process: &mut Process| {
+                in_run.record();
+                workload(process)
+            };
+            assert!(explorer.step(setup, workload).is_some());
+        }
+        let report = explorer.report(Vec::new());
+        assert!(report.injections_performed > 0, "the batch injected");
+        let recorded = threads.0.lock().unwrap();
+        // Setup, run, start and outcome hooks per case, plus one per injection.
+        assert_eq!(recorded.len() as u64, 4 * report.cases_executed + report.injections_performed);
+        let here = std::thread::current().id();
+        assert!(recorded.iter().all(|thread| *thread == here), "every hook ran on the calling thread");
     }
 
     #[test]

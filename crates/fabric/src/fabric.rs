@@ -612,7 +612,9 @@ fn worker_loop(inner: &FabricInner) {
 
 /// Runs one lease's cells as a `parallelism(1)` campaign over the job's
 /// workload (the fabric's fleet *is* the parallelism) and folds the event
-/// stream into the ack payload.
+/// stream into the ack payload.  Such a session spawns no thread: every
+/// case runs here, on the fleet worker, so a panicking workload unwinds
+/// into [`worker_loop`]'s `catch_unwind`.
 fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
     let cells = assignment.cells;
     let cases: Vec<TestCase> = cells

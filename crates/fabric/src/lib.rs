@@ -14,7 +14,8 @@
 //!   deficit counter normalized by [`JobSpec::weight`] picks the next job,
 //!   so a 1000-case exhaustive sweep cannot starve a 10-case smoke job.
 //!   Each lease runs on the existing [`Campaign`](lfi_controller::Campaign)
-//!   machinery as a serial session — the fleet is the parallelism.
+//!   machinery as a serial session, which executes its cases on the fleet
+//!   worker's own thread — the fleet is the parallelism.
 //! * **Crash-safe handoff** — a lease not acked within its deadline (the
 //!   worker panicked, hung, or the process was killed) returns to the
 //!   job's frontier; late acks are discarded wholesale, so no cell is ever

@@ -373,9 +373,11 @@ impl FabricClient {
                 }
                 if reply.last() != Some(&b'\n') && reply.len() > MAX_REPLY_BYTES {
                     let _ = writer.shutdown(Shutdown::Both);
-                    return Err(WireError::malformed(format!("reply line exceeds {MAX_REPLY_BYTES} bytes")));
+                    return Err(WireError::malformed(0, format!("reply line exceeds {MAX_REPLY_BYTES} bytes")));
                 }
-                String::from_utf8(reply).map_err(|_| WireError::malformed("reply line is not UTF-8"))?
+                String::from_utf8(reply).map_err(|error| {
+                    WireError::malformed(error.utf8_error().valid_up_to(), "reply line is not UTF-8")
+                })?
             }
         };
         Response::parse(reply.trim_end())
@@ -383,8 +385,8 @@ impl FabricClient {
 
     fn expect_error<T>(response: Response) -> Result<T, WireError> {
         match response {
-            Response::Error { message } => Err(WireError::Malformed { message }),
-            other => Err(WireError::malformed(format!("unexpected response {other:?}"))),
+            Response::Error { message } => Err(WireError::malformed(0, message)),
+            other => Err(WireError::malformed(0, format!("unexpected response {other:?}"))),
         }
     }
 
@@ -663,7 +665,7 @@ impl FabricClient {
     pub fn checkpoint(&mut self, job: JobId) -> Result<ExplorationStore, WireError> {
         match self.request(&Request::Checkpoint { job })? {
             Response::Checkpoint { store, .. } => lfi_store::decode_exploration_store(&store)
-                .map_err(|error| WireError::malformed(format!("checkpoint is not an exploration store: {error}"))),
+                .map_err(|error| WireError::malformed(0, format!("checkpoint is not an exploration store: {error}"))),
             other => Self::expect_error(other),
         }
     }

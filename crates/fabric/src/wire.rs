@@ -56,14 +56,20 @@ pub const MAX_REPLY_BYTES: usize = 128 << 20;
 /// use lfi_fabric::{Request, WireError};
 ///
 /// let error = Request::parse("warp job=1").unwrap_err();
-/// assert!(matches!(error, WireError::Malformed { .. }));
-/// assert!(error.to_string().contains("unknown request verb"));
+/// assert!(matches!(error, WireError::Malformed { offset: 0, .. }));
+/// assert!(error.to_string().contains("at byte 0: unknown request verb"));
+///
+/// let error = Request::parse("status job=x1").unwrap_err();
+/// assert!(matches!(error, WireError::Malformed { offset: 11, .. }));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum WireError {
     /// The line did not follow the protocol grammar.
     Malformed {
+        /// Byte offset into the line of the offending token or character
+        /// (0 when the whole line is at fault, e.g. a missing field).
+        offset: usize,
         /// What was wrong.
         message: String,
     },
@@ -75,15 +81,17 @@ pub enum WireError {
 }
 
 impl WireError {
-    pub(crate) fn malformed(message: impl Into<String>) -> Self {
-        WireError::Malformed { message: message.into() }
+    pub(crate) fn malformed(offset: usize, message: impl Into<String>) -> Self {
+        WireError::Malformed { offset, message: message.into() }
     }
 }
 
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Malformed { message } => write!(f, "malformed wire message: {message}"),
+            WireError::Malformed { offset, message } => {
+                write!(f, "malformed wire message at byte {offset}: {message}")
+            }
             WireError::Transport { message } => write!(f, "wire transport failed: {message}"),
         }
     }
@@ -124,6 +132,13 @@ pub fn escape(value: &str) -> String {
 /// [`WireError::Malformed`] on a truncated or non-hex `%` sequence, or
 /// invalid UTF-8 after unescaping.
 pub fn unescape(value: &str) -> Result<String, WireError> {
+    unescape_in(value, value)
+}
+
+/// [`unescape`] of `value`, a field of `line`; error offsets point into
+/// `line`.
+fn unescape_in(line: &str, value: &str) -> Result<String, WireError> {
+    let start = offset_in(line, value);
     let mut out = Vec::with_capacity(value.len());
     let bytes = value.as_bytes();
     let mut i = 0;
@@ -133,7 +148,7 @@ pub fn unescape(value: &str) -> Result<String, WireError> {
                 .get(i + 1..i + 3)
                 .and_then(|pair| std::str::from_utf8(pair).ok())
                 .and_then(|pair| u8::from_str_radix(pair, 16).ok())
-                .ok_or_else(|| WireError::malformed(format!("bad escape in {value:?}")))?;
+                .ok_or_else(|| WireError::malformed(start + i, format!("bad escape in {value:?}")))?;
             out.push(hex);
             i += 3;
         } else {
@@ -141,7 +156,12 @@ pub fn unescape(value: &str) -> Result<String, WireError> {
             i += 1;
         }
     }
-    String::from_utf8(out).map_err(|_| WireError::malformed("escape decodes to invalid UTF-8"))
+    String::from_utf8(out).map_err(|_| WireError::malformed(start, "escape decodes to invalid UTF-8"))
+}
+
+/// Where `part`, a subslice of `line`, starts in it (clamped to the line).
+fn offset_in(line: &str, part: &str) -> usize {
+    (part.as_ptr() as usize).saturating_sub(line.as_ptr() as usize).min(line.len())
 }
 
 /// A request line, parsed.
@@ -282,17 +302,23 @@ fn hex(bytes: &[u8]) -> String {
     out
 }
 
-/// Reverses [`hex`]: odd-length or non-hex text is [`WireError::Malformed`].
-fn unhex(text: &str) -> Result<Vec<u8>, WireError> {
+/// Reverses [`hex`] for `text`, a field of `line`: odd-length or non-hex
+/// text is [`WireError::Malformed`].
+fn unhex(line: &str, text: &str) -> Result<Vec<u8>, WireError> {
+    let start = offset_in(line, text);
     if !text.len().is_multiple_of(2) {
-        return Err(WireError::malformed(format!("hex field of odd length {}", text.len())));
+        return Err(WireError::malformed(start, format!("hex field of odd length {}", text.len())));
     }
     let nibble = |digit: u8| (digit as char).to_digit(16);
     text.as_bytes()
         .chunks_exact(2)
-        .map(|pair| match (nibble(pair[0]), nibble(pair[1])) {
+        .enumerate()
+        .map(|(index, pair)| match (nibble(pair[0]), nibble(pair[1])) {
             (Some(high), Some(low)) => Ok((high << 4 | low) as u8),
-            _ => Err(WireError::malformed(format!("non-hex digit in {:?}", String::from_utf8_lossy(pair)))),
+            _ => Err(WireError::malformed(
+                start + 2 * index,
+                format!("non-hex digit in {:?}", String::from_utf8_lossy(pair)),
+            )),
         })
         .collect()
 }
@@ -303,12 +329,12 @@ type Fields<'a> = Vec<(&'a str, &'a str)>;
 /// Splits a line into its verb and `key=value` fields.
 fn fields(line: &str) -> Result<(&str, Fields<'_>), WireError> {
     let mut tokens = line.split_ascii_whitespace();
-    let verb = tokens.next().ok_or_else(|| WireError::malformed("empty line"))?;
+    let verb = tokens.next().ok_or_else(|| WireError::malformed(0, "empty line"))?;
     let mut pairs = Vec::new();
     for token in tokens {
         let (key, value) = token
             .split_once('=')
-            .ok_or_else(|| WireError::malformed(format!("token {token:?} is not key=value")))?;
+            .ok_or_else(|| WireError::malformed(offset_in(line, token), format!("token {token:?} is not key=value")))?;
         pairs.push((key, value));
     }
     Ok((verb, pairs))
@@ -319,25 +345,26 @@ fn find<'a>(pairs: &[(&str, &'a str)], key: &str) -> Result<&'a str, WireError> 
         .iter()
         .find(|(k, _)| *k == key)
         .map(|(_, v)| *v)
-        .ok_or_else(|| WireError::malformed(format!("missing {key}= field")))
+        .ok_or_else(|| WireError::malformed(0, format!("missing {key}= field")))
 }
 
 fn find_opt<'a>(pairs: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
     pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
 }
 
-fn number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, WireError> {
+fn number<T: std::str::FromStr>(line: &str, key: &str, value: &str) -> Result<T, WireError> {
     value
         .parse()
-        .map_err(|_| WireError::malformed(format!("{key}={value:?} is not a number")))
+        .map_err(|_| WireError::malformed(offset_in(line, value), format!("{key}={value:?} is not a number")))
 }
 
-fn job_field(pairs: &[(&str, &str)]) -> Result<JobId, WireError> {
-    Ok(JobId(number("job", find(pairs, "job")?)?))
+fn job_field(line: &str, pairs: &[(&str, &str)]) -> Result<JobId, WireError> {
+    Ok(JobId(number(line, "job", find(pairs, "job")?)?))
 }
 
-fn state_field(key: &str, value: &str) -> Result<JobState, WireError> {
-    JobState::parse(value).ok_or_else(|| WireError::malformed(format!("{key}={value:?} is not a job state")))
+fn state_field(line: &str, key: &str, value: &str) -> Result<JobState, WireError> {
+    JobState::parse(value)
+        .ok_or_else(|| WireError::malformed(offset_in(line, value), format!("{key}={value:?} is not a job state")))
 }
 
 impl Request {
@@ -403,37 +430,41 @@ impl Request {
             "ping" => Ok(Request::Ping),
             "jobs" => Ok(Request::Jobs),
             "submit" => {
-                let plan_xml = unescape(find(&pairs, "plan")?)?;
-                let plan = Plan::from_xml(&plan_xml)
-                    .map_err(|error| WireError::malformed(format!("plan is not scenario XML: {error}")))?;
-                let mut spec =
-                    JobSpec::new(unescape(find(&pairs, "name")?)?, unescape(find(&pairs, "workload")?)?, plan);
+                let plan_field = find(&pairs, "plan")?;
+                let plan = Plan::from_xml(&unescape_in(line, plan_field)?).map_err(|error| {
+                    WireError::malformed(offset_in(line, plan_field), format!("plan is not scenario XML: {error}"))
+                })?;
+                let mut spec = JobSpec::new(
+                    unescape_in(line, find(&pairs, "name")?)?,
+                    unescape_in(line, find(&pairs, "workload")?)?,
+                    plan,
+                );
                 if let Some(weight) = find_opt(&pairs, "weight") {
-                    spec = spec.weight(number("weight", weight)?);
+                    spec = spec.weight(number(line, "weight", weight)?);
                 }
                 if let Some(batch) = find_opt(&pairs, "lease-batch") {
-                    spec = spec.lease_batch(number("lease-batch", batch)?);
+                    spec = spec.lease_batch(number(line, "lease-batch", batch)?);
                 }
                 if find_opt(&pairs, "halt-on-crash") == Some("true") {
                     spec = spec.halt_on_crash();
                 }
                 if let Some(max) = find_opt(&pairs, "max-cases") {
-                    spec = spec.max_cases(number("max-cases", max)?);
+                    spec = spec.max_cases(number(line, "max-cases", max)?);
                 }
                 Ok(Request::Submit { spec })
             }
-            "status" => Ok(Request::Status { job: job_field(&pairs)? }),
+            "status" => Ok(Request::Status { job: job_field(line, &pairs)? }),
             "events" => Ok(Request::Events {
-                job: job_field(&pairs)?,
-                after: find_opt(&pairs, "after").map_or(Ok(0), |v| number("after", v))?,
-                max: find_opt(&pairs, "max").map_or(Ok(256), |v| number("max", v))?,
+                job: job_field(line, &pairs)?,
+                after: find_opt(&pairs, "after").map_or(Ok(0), |v| number(line, "after", v))?,
+                max: find_opt(&pairs, "max").map_or(Ok(256), |v| number(line, "max", v))?,
             }),
-            "cancel" => Ok(Request::Cancel { job: job_field(&pairs)? }),
-            "pause" => Ok(Request::Pause { job: job_field(&pairs)? }),
-            "resume" => Ok(Request::Resume { job: job_field(&pairs)? }),
-            "checkpoint" => Ok(Request::Checkpoint { job: job_field(&pairs)? }),
+            "cancel" => Ok(Request::Cancel { job: job_field(line, &pairs)? }),
+            "pause" => Ok(Request::Pause { job: job_field(line, &pairs)? }),
+            "resume" => Ok(Request::Resume { job: job_field(line, &pairs)? }),
+            "checkpoint" => Ok(Request::Checkpoint { job: job_field(line, &pairs)? }),
             "drain" => Ok(Request::Drain),
-            _ => Err(WireError::malformed(format!("unknown request verb {verb:?}"))),
+            _ => Err(WireError::malformed(offset_in(line, verb), format!("unknown request verb {verb:?}"))),
         }
     }
 }
@@ -460,47 +491,54 @@ fn encode_event(event: &JobEvent) -> String {
     }
 }
 
-fn opt_number(key: &str, value: &str) -> Result<Option<i64>, WireError> {
+fn opt_number(line: &str, key: &str, value: &str) -> Result<Option<i64>, WireError> {
     if value == "x" {
         Ok(None)
     } else {
-        number(key, value).map(Some)
+        number(line, key, value).map(Some)
     }
 }
 
-fn decode_event(text: &str) -> Result<JobEvent, WireError> {
+/// Decodes `text`, one event of `line`'s event list.
+fn decode_event(line: &str, text: &str) -> Result<JobEvent, WireError> {
+    let start = offset_in(line, text);
     let parts: Vec<&str> = text.split(',').collect();
     if parts.len() < 2 {
-        return Err(WireError::malformed(format!("event {text:?} has no kind")));
+        return Err(WireError::malformed(start, format!("event {text:?} has no kind")));
     }
-    let seq = number("seq", parts[0])?;
+    let seq = number(line, "seq", parts[0])?;
     let arg = |index: usize| -> Result<&str, WireError> {
         parts
             .get(index)
             .copied()
-            .ok_or_else(|| WireError::malformed(format!("event {text:?} is missing field {index}")))
+            .ok_or_else(|| WireError::malformed(start + text.len(), format!("event {text:?} is missing field {index}")))
     };
     let kind = match parts[1] {
-        "state" => JobEventKind::State(state_field("state", arg(2)?)?),
-        "started" => JobEventKind::Started { case: unescape(arg(2)?)? },
+        "state" => JobEventKind::State(state_field(line, "state", arg(2)?)?),
+        "started" => JobEventKind::Started { case: unescape_in(line, arg(2)?)? },
         "injection" => JobEventKind::Injection {
-            case: unescape(arg(2)?)?,
-            function: unescape(arg(3)?)?,
-            retval: opt_number("retval", arg(4)?)?,
-            errno: opt_number("errno", arg(5)?)?,
+            case: unescape_in(line, arg(2)?)?,
+            function: unescape_in(line, arg(3)?)?,
+            retval: opt_number(line, "retval", arg(4)?)?,
+            errno: opt_number(line, "errno", arg(5)?)?,
         },
         "finished" => {
-            let outcome_text = unescape(arg(3)?)?;
+            let outcome_field = arg(3)?;
+            let outcome_text = unescape_in(line, outcome_field)?;
             JobEventKind::Finished {
-                case: unescape(arg(2)?)?,
-                outcome: OutcomeClass::parse(&outcome_text)
-                    .ok_or_else(|| WireError::malformed(format!("unknown outcome class {outcome_text:?}")))?,
-                injections: number("injections", arg(4)?)?,
+                case: unescape_in(line, arg(2)?)?,
+                outcome: OutcomeClass::parse(&outcome_text).ok_or_else(|| {
+                    WireError::malformed(
+                        offset_in(line, outcome_field),
+                        format!("unknown outcome class {outcome_text:?}"),
+                    )
+                })?,
+                injections: number(line, "injections", arg(4)?)?,
             }
         }
-        "skipped" => JobEventKind::Skipped { case: unescape(arg(2)?)? },
-        "requeued" => JobEventKind::Requeued { cells: number("cells", arg(2)?)? },
-        kind => return Err(WireError::malformed(format!("unknown event kind {kind:?}"))),
+        "skipped" => JobEventKind::Skipped { case: unescape_in(line, arg(2)?)? },
+        "requeued" => JobEventKind::Requeued { cells: number(line, "cells", arg(2)?)? },
+        kind => return Err(WireError::malformed(offset_in(line, kind), format!("unknown event kind {kind:?}"))),
     };
     Ok(JobEvent { seq, kind })
 }
@@ -575,23 +613,24 @@ impl Response {
                     .filter(|entry| !entry.is_empty())
                     .map(|entry| {
                         let mut parts = entry.splitn(3, ':');
-                        let id = number::<u64>("id", parts.next().unwrap_or(""))?;
-                        let name = unescape(parts.next().unwrap_or(""))?;
-                        let state = state_field("state", parts.next().unwrap_or(""))?;
+                        let mut part = || parts.next().unwrap_or(&entry[entry.len()..]);
+                        let id = number::<u64>(line, "id", part())?;
+                        let name = unescape_in(line, part())?;
+                        let state = state_field(line, "state", part())?;
                         Ok((JobId(id), name, state))
                     })
                     .collect::<Result<Vec<_>, WireError>>()?;
                 Ok(Response::Jobs { jobs })
             }
-            "submitted" => Ok(Response::Submitted { job: job_field(&pairs)? }),
+            "submitted" => Ok(Response::Submitted { job: job_field(line, &pairs)? }),
             "status" => {
-                let count = |key: &str| -> Result<usize, WireError> { number(key, find(&pairs, key)?) };
+                let count = |key: &str| -> Result<usize, WireError> { number(line, key, find(&pairs, key)?) };
                 Ok(Response::Status {
                     snapshot: JobSnapshot {
-                        id: job_field(&pairs)?,
-                        name: unescape(find(&pairs, "name")?)?,
-                        workload: unescape(find(&pairs, "workload")?)?,
-                        state: state_field("state", find(&pairs, "state")?)?,
+                        id: job_field(line, &pairs)?,
+                        name: unescape_in(line, find(&pairs, "name")?)?,
+                        workload: unescape_in(line, find(&pairs, "workload")?)?,
+                        state: state_field(line, "state", find(&pairs, "state")?)?,
                         cases: count("cases")?,
                         pending: count("pending")?,
                         outstanding: count("outstanding")?,
@@ -602,7 +641,7 @@ impl Response {
                             crashes: count("crashes")?,
                             injections: count("injections")?,
                         },
-                        requeued: number("requeued", find(&pairs, "requeued")?)?,
+                        requeued: number(line, "requeued", find(&pairs, "requeued")?)?,
                         clusters: count("clusters")?,
                     },
                 })
@@ -610,23 +649,25 @@ impl Response {
             "events" => {
                 let list = find_opt(&pairs, "list").unwrap_or("");
                 Ok(Response::Events {
-                    job: job_field(&pairs)?,
-                    next: number("next", find(&pairs, "next")?)?,
-                    events: list.split(';').filter(|entry| !entry.is_empty()).map(decode_event).collect::<Result<
-                        Vec<_>,
-                        WireError,
-                    >>(
-                    )?,
+                    job: job_field(line, &pairs)?,
+                    next: number(line, "next", find(&pairs, "next")?)?,
+                    events: list
+                        .split(';')
+                        .filter(|entry| !entry.is_empty())
+                        .map(|entry| decode_event(line, entry))
+                        .collect::<Result<Vec<_>, WireError>>()?,
                 })
             }
             "state" => Ok(Response::StateChanged {
-                job: job_field(&pairs)?,
-                state: state_field("state", find(&pairs, "state")?)?,
+                job: job_field(line, &pairs)?,
+                state: state_field(line, "state", find(&pairs, "state")?)?,
             }),
-            "checkpoint" => Ok(Response::Checkpoint { job: job_field(&pairs)?, store: unhex(find(&pairs, "store")?)? }),
+            "checkpoint" => {
+                Ok(Response::Checkpoint { job: job_field(line, &pairs)?, store: unhex(line, find(&pairs, "store")?)? })
+            }
             "draining" => Ok(Response::Draining),
-            "error" => Ok(Response::Error { message: unescape(find(&pairs, "message")?)? }),
-            _ => Err(WireError::malformed(format!("unknown response verb {verb:?}"))),
+            "error" => Ok(Response::Error { message: unescape_in(line, find(&pairs, "message")?)? }),
+            _ => Err(WireError::malformed(offset_in(line, verb), format!("unknown response verb {verb:?}"))),
         }
     }
 }
@@ -652,10 +693,10 @@ mod tests {
         let text = hex(&bytes);
         assert_eq!(text.len(), 512);
         assert!(text.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)), "{text}");
-        assert_eq!(unhex(&text).unwrap(), bytes);
-        assert_eq!(unhex("").unwrap(), Vec::<u8>::new());
+        assert_eq!(unhex(&text, &text).unwrap(), bytes);
+        assert_eq!(unhex("", "").unwrap(), Vec::<u8>::new());
         for bad in ["0", "abc", "zz", "0g", "+1", "é", "é0"] {
-            assert!(matches!(unhex(bad), Err(WireError::Malformed { .. })), "{bad:?}");
+            assert!(matches!(unhex(bad, bad), Err(WireError::Malformed { .. })), "{bad:?}");
         }
     }
 
@@ -672,5 +713,30 @@ mod tests {
         assert!(Response::parse("events job=1 next=0 list=0").is_err(), "event without kind");
         assert!(Response::parse("events job=1 next=0 list=0,warp").is_err());
         assert!(Response::parse("events job=1 next=0 list=0,finished,a,melted,1").is_err());
+    }
+
+    #[test]
+    fn malformed_errors_point_at_the_offending_bytes() {
+        let offset = |result: Result<(), WireError>| match result {
+            Err(WireError::Malformed { offset, .. }) => offset,
+            other => panic!("expected Malformed, got {other:?}"),
+        };
+        let request = |line: &str| offset(Request::parse(line).map(drop));
+        let response = |line: &str| offset(Response::parse(line).map(drop));
+        assert_eq!(request(""), 0, "empty line");
+        assert_eq!(request("status"), 0, "missing field");
+        assert_eq!(request("  fly job=1"), 2, "unknown verb");
+        assert_eq!(request("status job=1 extra"), 13, "bare token");
+        assert_eq!(request("status job=abc"), 11, "bad number");
+        assert_eq!(request("submit name=a workload=b plan=ab%4"), 32, "truncated escape");
+        assert_eq!(request("submit name=a workload=b plan=notxml"), 30, "plan");
+        assert_eq!(response("state job=1 state=melted"), 18, "bad state");
+        assert_eq!(response("checkpoint job=1 store=00zz"), 25, "non-hex pair");
+        assert_eq!(response("checkpoint job=1 store=000"), 23, "odd hex");
+        assert_eq!(response("jobs count=1 list=1:a:melted"), 22, "bad listed state");
+        assert_eq!(response("events job=1 next=0 list=0,warp"), 27, "unknown event kind");
+        assert_eq!(response("events job=1 next=0 list=0,started"), 34, "missing event field");
+        assert_eq!(response("events job=1 next=0 list=0,finished,a,melted,1"), 38, "outcome class");
+        assert!(WireError::malformed(7, "boom").to_string().contains("at byte 7: boom"));
     }
 }

@@ -1,13 +1,17 @@
 //! Integration coverage for the streaming campaign session: `CaseEvent`
 //! ordering and determinism, mid-run cancellation at several parallelism
-//! degrees, the Workload hook contract, and the blocking wrappers'
-//! equivalence with the stream they wrap.
+//! degrees, the Workload hook contract, which threads execute cases, and
+//! the blocking wrappers' equivalence with the stream they wrap.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
+use std::time::Duration;
 
 use lfi::controller::{
-    Campaign, CaseEvent, ExecutionPolicy, FnWorkload, SkipReason, TestCase, Workload, WorkloadRegistry,
+    Campaign, CampaignObserver, CaseEvent, ExecutionPolicy, FnWorkload, InjectionRecord, SkipReason, TestCase,
+    TestOutcome, Workload, WorkloadRegistry,
 };
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::{FaultAction, Plan, PlanEntry, Trigger};
@@ -335,4 +339,176 @@ fn progress_counters_track_the_stream() {
     assert_eq!(progress.crashes, 3, "cases 3, 7 and 11 crash");
     let report = run.into_report();
     assert_eq!(progress.injections, report.total_injections());
+}
+
+/// One hook call: the hook, and the id and name of the thread it ran on.
+type Hook = (&'static str, ThreadId, Option<String>);
+
+/// Records the thread behind every workload and observer hook.
+#[derive(Clone, Default)]
+struct Placement {
+    hooks: Arc<Mutex<Vec<Hook>>>,
+}
+
+impl Placement {
+    fn record(&self, hook: &'static str) {
+        let thread = std::thread::current();
+        self.hooks.lock().unwrap().push((hook, thread.id(), thread.name().map(str::to_owned)));
+    }
+
+    fn hooks(&self) -> Vec<Hook> {
+        self.hooks.lock().unwrap().clone()
+    }
+
+    /// Asserts every workload and observer hook ran on the calling thread.
+    fn assert_all_on_this_thread(&self) {
+        let hooks = self.hooks();
+        for hook in ["setup", "run", "on_test_start", "on_injection", "on_outcome", "should_halt"] {
+            assert!(hooks.iter().any(|(name, ..)| *name == hook), "{hook} fired");
+        }
+        let here = std::thread::current().id();
+        for (hook, thread, name) in hooks {
+            assert_eq!(thread, here, "{hook} ran on {name:?}, not the calling thread");
+        }
+    }
+}
+
+impl Workload for Placement {
+    fn name(&self) -> &str {
+        "placement"
+    }
+
+    fn setup(&self, _case: &TestCase) -> lfi::runtime::PooledProcess {
+        self.record("setup");
+        setup().into()
+    }
+
+    fn run(&self, process: &mut Process) -> ExitStatus {
+        self.record("run");
+        workload(process)
+    }
+
+    fn teardown(&self, _process: &mut Process) {
+        self.record("teardown");
+    }
+}
+
+impl CampaignObserver for Placement {
+    fn on_test_start(&self, _case: &TestCase) {
+        self.record("on_test_start");
+    }
+
+    fn on_injection(&self, _case: &TestCase, _record: &InjectionRecord) {
+        self.record("on_injection");
+    }
+
+    fn on_outcome(&self, _outcome: &TestOutcome) {
+        self.record("on_outcome");
+    }
+
+    fn should_halt(&self, _outcome: &TestOutcome) -> bool {
+        self.record("should_halt");
+        false
+    }
+}
+
+#[test]
+fn serial_sessions_run_every_case_on_the_calling_thread() {
+    // The blocking closure-pair entry point.
+    let placement = Placement::default();
+    let (on_setup, on_run) = (placement.clone(), placement.clone());
+    let report = Campaign::new().cases(mixed_cases(8)).observer(placement.clone()).run(
+        move || {
+            on_setup.record("setup");
+            setup()
+        },
+        move |process: &mut Process| {
+            on_run.record("run");
+            workload(process)
+        },
+    );
+    assert_eq!(report.outcomes.len(), 8);
+    placement.assert_all_on_this_thread();
+
+    // An iterated stream over a Workload object.
+    let placement = Placement::default();
+    let run = Campaign::new()
+        .cases(mixed_cases(8))
+        .parallelism(1)
+        .observer(placement.clone())
+        .start(placement.clone());
+    assert_eq!(run.filter(|event| matches!(event, CaseEvent::Outcome { .. })).count(), 8);
+    placement.assert_all_on_this_thread();
+}
+
+#[test]
+fn parallel_sessions_spawn_one_helper_fewer_than_their_parallelism() {
+    const WORKERS: usize = 4;
+    const HELPERS: usize = WORKERS - 1;
+    // Every case waits until HELPERS distinct helper threads are inside a
+    // workload run at once, so each helper provably exists and takes a
+    // case.  A missing helper fails the wait instead of hanging the test.
+    let arrived = Arc::new((Mutex::new(HashSet::<ThreadId>::new()), Condvar::new()));
+    let placement = Placement::default();
+    let recorder = placement.clone();
+    let rendezvous = Arc::clone(&arrived);
+    let report =
+        Campaign::new()
+            .cases(mixed_cases(32))
+            .parallelism(WORKERS)
+            .run(setup, move |process: &mut Process| {
+                recorder.record("run");
+                let thread = std::thread::current();
+                let (lock, wake) = &*rendezvous;
+                let mut helpers = lock.lock().unwrap();
+                if thread.name().is_some_and(|name| name.starts_with("lfi-campaign-")) {
+                    helpers.insert(thread.id());
+                    wake.notify_all();
+                }
+                let (helpers, _) = wake
+                    .wait_timeout_while(helpers, Duration::from_secs(60), |helpers| helpers.len() < HELPERS)
+                    .unwrap();
+                assert_eq!(helpers.len(), HELPERS, "{HELPERS} helpers reached the rendezvous");
+                drop(helpers);
+                workload(process)
+            });
+    assert_eq!(report.outcomes.len(), 32);
+
+    let here = std::thread::current().id();
+    let hooks = placement.hooks();
+    let executors: HashSet<ThreadId> = hooks.iter().map(|(_, thread, _)| *thread).collect();
+    assert!(executors.len() <= WORKERS, "{} threads executed cases", executors.len());
+    let mut helper_names: Vec<String> = hooks
+        .iter()
+        .filter(|(_, thread, _)| *thread != here)
+        .map(|(_, _, name)| name.clone().unwrap_or_default())
+        .collect();
+    helper_names.sort();
+    helper_names.dedup();
+    assert_eq!(helper_names, ["lfi-campaign-1", "lfi-campaign-2", "lfi-campaign-3"]);
+}
+
+#[test]
+#[should_panic(expected = "workload bug")]
+fn helper_panics_propagate_to_the_streaming_consumer() {
+    // Only helpers panic, and the consumer's own cases wait until one has,
+    // so the payload that surfaces is a helper's: the consumer re-raises it
+    // when it joins the helpers.
+    let panicked = Arc::new((Mutex::new(false), Condvar::new()));
+    let buggy = move |process: &mut Process| {
+        let (lock, wake) = &*panicked;
+        if std::thread::current().name().is_some_and(|name| name.starts_with("lfi-campaign-")) {
+            *lock.lock().unwrap() = true;
+            wake.notify_all();
+            panic!("workload bug");
+        }
+        let guard = lock.lock().unwrap();
+        drop(wake.wait_timeout_while(guard, Duration::from_secs(60), |panicked| !*panicked).unwrap());
+        workload(process)
+    };
+    let run = Campaign::new()
+        .cases(mixed_cases(16))
+        .parallelism(4)
+        .start(FnWorkload::new("buggy", setup, buggy));
+    for _ in run {}
 }

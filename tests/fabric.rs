@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lfi::controller::{FnWorkload, ProgressSnapshot};
 use lfi::explore::OutcomeClass;
@@ -68,6 +68,24 @@ fn flaky_reader(
     })
 }
 
+/// The `reader` workload whose runs from the `from`-th on (counting from 0)
+/// wait until `gate` opens, so a test can pause a job mid-run by
+/// construction however fast the worker gets through its leases.
+fn gated_reader(
+    gate: &Arc<AtomicBool>,
+    from: usize,
+) -> FnWorkload<impl Fn() -> Process + Send + Sync, impl Fn(&mut Process) -> ExitStatus + Send + Sync> {
+    let (gate, runs) = (Arc::clone(gate), AtomicUsize::new(0));
+    FnWorkload::new("reader", reader_process, move |process: &mut Process| {
+        if runs.fetch_add(1, Ordering::SeqCst) >= from {
+            while !gate.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }
+        read_four(process)
+    })
+}
+
 #[test]
 fn killed_worker_loses_no_cell_and_double_counts_none() {
     // 12 cells in leases of 4; the 6th workload run (inside the second
@@ -105,30 +123,93 @@ fn killed_worker_loses_no_cell_and_double_counts_none() {
 }
 
 #[test]
+fn leases_run_on_the_fabric_workers_themselves() {
+    let threads = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let (in_setup, in_run) = (Arc::clone(&threads), Arc::clone(&threads));
+    let record = |threads: &std::sync::Mutex<Vec<Option<String>>>| {
+        threads.lock().unwrap().push(std::thread::current().name().map(str::to_owned));
+    };
+    let workload = FnWorkload::new(
+        "placed-reader",
+        move || {
+            record(&in_setup);
+            reader_process()
+        },
+        move |process: &mut Process| {
+            record(&in_run);
+            read_four(process)
+        },
+    );
+    let fabric = Fabric::builder().workers(2).lease_batch(3).register(workload).build();
+    let job = fabric
+        .submit(JobSpec::new("placed", "placed-reader", read_plan(4, &[5, 9])))
+        .expect("registered");
+    assert_eq!(fabric.wait_job(job, Duration::from_secs(60)), Some(JobState::Done));
+    drop(fabric);
+    let threads = threads.lock().unwrap();
+    assert_eq!(threads.len(), 16, "setup and run of 8 cells");
+    for name in threads.iter() {
+        let name = name.as_deref().unwrap_or_default();
+        let worker = name.strip_prefix("lfi-fabric-").unwrap_or_default();
+        assert!(!worker.is_empty() && worker.bytes().all(|b| b.is_ascii_digit()), "a lease case ran on {name:?}");
+    }
+}
+
+#[test]
 fn small_tenants_are_not_starved_by_large_ones() {
     // A 1000-cell sweep is submitted first and would monopolize a naive
     // FIFO fleet; deficit scheduling interleaves the 10-cell smoke job.
-    let fabric = Fabric::builder()
-        .workers(2)
-        .register(FnWorkload::new("reader", reader_process, read_four))
-        .build();
+    // Sweep cases start once both jobs are queued, and each smoke case
+    // records how many sweep cases ran before it, so the check reads the
+    // schedule itself: a status read after `wait_job` returns can lag the
+    // fleet by however long two busy workers keep this thread off the CPU.
+    // Sweep cases past the 500th wait for the cancel, so it lands mid-run.
+    let (queued, cancelled) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+    let sweep_cases = Arc::new(AtomicUsize::new(0));
+    let sweep_before_smoke = Arc::new(AtomicUsize::new(0));
+    let sweep_reader = {
+        let (queued, cancelled, sweep_cases) = (Arc::clone(&queued), Arc::clone(&cancelled), Arc::clone(&sweep_cases));
+        FnWorkload::new("reader", reader_process, move |process: &mut Process| {
+            // Bounded, so a failed assertion below cannot wedge the fleet.
+            let wait_for = |gate: &AtomicBool| {
+                let give_up = Instant::now() + Duration::from_secs(60);
+                while !gate.load(Ordering::Acquire) && Instant::now() < give_up {
+                    std::thread::yield_now();
+                }
+            };
+            wait_for(&queued);
+            if sweep_cases.fetch_add(1, Ordering::SeqCst) >= 500 {
+                wait_for(&cancelled);
+            }
+            read_four(process)
+        })
+    };
+    let smoke_reader = {
+        let sweep_before_smoke = Arc::clone(&sweep_before_smoke);
+        FnWorkload::new("smoke-reader", reader_process, move |process: &mut Process| {
+            sweep_before_smoke.fetch_max(sweep_cases.load(Ordering::SeqCst), Ordering::SeqCst);
+            read_four(process)
+        })
+    };
+    let fabric = Fabric::builder().workers(2).register(sweep_reader).register(smoke_reader).build();
     let big = fabric
         .submit(JobSpec::new("sweep", "reader", read_plan(250, &[5, 9, 11, 22])))
         .expect("workload registered");
     let small = fabric
-        .submit(JobSpec::new("smoke", "reader", read_plan(10, &[5])))
+        .submit(JobSpec::new("smoke", "smoke-reader", read_plan(10, &[5])))
         .expect("workload registered");
+    queued.store(true, Ordering::Release);
 
     assert_eq!(fabric.wait_job(small, Duration::from_secs(60)), Some(JobState::Done));
-    let big_progress = fabric.status(big).expect("job exists").progress;
+    let sweep_done = sweep_before_smoke.load(Ordering::SeqCst);
     assert!(
-        big_progress.finished < 500,
-        "the small job finished while the big one was at {}/1000 — fair shares, not FIFO",
-        big_progress.finished
+        sweep_done < 500,
+        "the small job finished while the big one was at {sweep_done}/1000 — fair shares, not FIFO"
     );
 
     // No need to run the sweep to the end: cancel is part of the contract.
     assert_eq!(fabric.cancel(big), Some(JobState::Cancelled));
+    cancelled.store(true, Ordering::Release);
     assert!(fabric.wait_idle(Duration::from_secs(60)));
     let report = fabric.report(big).expect("job exists");
     assert_eq!(report.state, JobState::Cancelled);
@@ -311,14 +392,17 @@ fn journaled_job_survives_a_kill_and_recovers_byte_identically() {
     let spec = || JobSpec::new("resumable", "reader", read_plan(10, &[5, 9, 11, 22])).lease_batch(1);
 
     // Live fabric: journal from submission, make partial progress, quiesce,
-    // then "die" without draining or checkpointing by hand.
-    let first = Fabric::builder().workers(1).register(reader()).build();
+    // then "die" without draining or checkpointing by hand.  Cases after
+    // the sixth wait until the job is paused, so the pause lands mid-run.
+    let gate = Arc::new(AtomicBool::new(false));
+    let first = Fabric::builder().workers(1).register(gated_reader(&gate, 6)).build();
     let job = first.submit(spec()).expect("workload registered");
     first.journal_job(job, &path).expect("journal attaches");
     while first.status(job).expect("job exists").progress.finished < 6 {
         std::thread::sleep(Duration::from_millis(2));
     }
     first.pause(job);
+    gate.store(true, Ordering::Release);
     assert!(first.wait_idle(Duration::from_secs(60)), "outstanding leases settle after pause");
     assert_eq!(first.journal_error(job), None);
     let live = first.checkpoint(job).expect("job exists");
@@ -375,12 +459,12 @@ fn checkpoint_restores_into_a_fresh_fabric() {
     // exactly once.
     let spec = || JobSpec::new("resumable", "reader", read_plan(4, &[5, 9, 11])).lease_batch(4);
 
-    let first = Fabric::builder()
-        .workers(1)
-        .register(FnWorkload::new("reader", reader_process, read_four))
-        .build();
+    // Every case waits until the job is paused, so the pause lands mid-run.
+    let gate = Arc::new(AtomicBool::new(false));
+    let first = Fabric::builder().workers(1).register(gated_reader(&gate, 0)).build();
     let job = first.submit(spec()).expect("workload registered");
     assert!(first.pause(job).is_some());
+    gate.store(true, Ordering::Release);
     assert!(first.wait_idle(Duration::from_secs(60)), "outstanding leases settle after pause");
     let parked = first.status(job).expect("job exists");
     assert!(!parked.state.is_terminal(), "paused, not finished");
@@ -558,10 +642,11 @@ fn arb_response() -> impl Strategy<Value = Response> {
     ]
 }
 
-/// Parses `line` both ways; a failure must be a typed `Malformed` error.
+/// Parses `line` both ways; a failure must be a typed `Malformed` error
+/// whose offset lies within the line.
 fn parses_or_is_malformed(line: &str) {
     for error in [Request::parse(line).err(), Response::parse(line).err()].into_iter().flatten() {
-        assert!(matches!(error, WireError::Malformed { .. }), "{line:?}: {error:?}");
+        assert!(matches!(error, WireError::Malformed { offset, .. } if offset <= line.len()), "{line:?}: {error:?}");
     }
 }
 
